@@ -18,8 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConvexOpError,
@@ -39,7 +37,7 @@ from .scenario import (
     run_scenario,
     validate_scenario,
 )
-from .spaces import DEFAULT_TOL
+from .spaces import DEFAULT_TOL, cone_margin
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -141,19 +139,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_witness(args) -> int:
     a, b = parse_witness_file(args.input)
-    for name, mat in (("A", a), ("B", b)):
-        low = float(np.linalg.eigvalsh(mat).min())
+    # each matrix is checked for positivity in its own space first, so a
+    # non-PSD B is reported before a size mismatch with A; from_matrix in
+    # A's space then reports the mismatch
+    ea, eb = (from_matrix(make_quantum_space(m.shape[0]), m) for m in (a, b))
+    for name, x in (("A", ea), ("B", eb)):
+        low = cone_margin(x)
         if low < -args.tol:
             raise ScenarioValidationError(
                 f"{name}: not positive semidefinite (min eigenvalue {low:.6e})"
             )
-    space = make_quantum_space(a.shape[0])
-    result = anti_lattice_witness(
-        from_matrix(space, a),
-        from_matrix(space, b),
-        tol=args.tol,
-        grid_step=args.grid_step,
-    )
+    if eb.space.psd_dim != ea.space.psd_dim:
+        eb = from_matrix(ea.space, b)
+    result = anti_lattice_witness(ea, eb, tol=args.tol, grid_step=args.grid_step)
     _emit(render_witness(result), args)
     return EXIT_OK
 

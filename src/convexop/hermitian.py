@@ -80,6 +80,18 @@ def coords_to_matrix(coords: np.ndarray) -> np.ndarray:
     return np.einsum("a,aij->ij", coords, hermitian_basis(d))
 
 
+def images_to_matrix(images: np.ndarray) -> np.ndarray:
+    """Real matrix on coordinates of the linear map ``B_a -> images[a]``."""
+    d = images.shape[-1]
+    return np.real(np.einsum("pij,aji->pa", hermitian_basis(d), images))
+
+
+def conjugation_matrix(u: np.ndarray) -> np.ndarray:
+    """Real matrix on coordinates of the conjugation ``b -> U b U^dagger``."""
+    basis = hermitian_basis(u.shape[0])
+    return images_to_matrix(np.einsum("ij,ajk,lk->ail", u, basis, u.conj()))
+
+
 def complex_coords(mat: np.ndarray) -> np.ndarray:
     """Complex expansion coefficients ``tr(B_a m)`` of an arbitrary matrix.
 

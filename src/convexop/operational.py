@@ -27,8 +27,8 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hermitian import (
+    conjugation_matrix,
     coords_to_matrix,
-    hermitian_basis,
     matrix_to_coords,
     require_hermitian,
 )
@@ -101,15 +101,24 @@ def apply_operation(op: OperationMap, b: Element) -> Element:
     return Element(b.space, op.matrix @ b.coords)
 
 
+def order_unit_defect(op: OperationMap, tol: float = DEFAULT_TOL) -> tuple:
+    """How far the adjoint of the map is from fixing the order unit.
+
+    Returns the largest entry of ``|M^T g - g|`` for ``g = metric @ unit``,
+    the matrix form of requiring the pairing with ``e`` to be preserved on
+    every element, and the scaled tolerance it is judged against.
+    """
+    g = op.space.metric @ op.space.unit
+    return float(np.abs(op.matrix.T @ g - g).max()), scaled_tol(tol, g)
+
+
 def is_nonselective(op: OperationMap, tol: float = DEFAULT_TOL) -> bool:
     """Whether the adjoint of the map fixes the order unit.
 
-    Checks ``M^T g = g`` for ``g = metric @ unit``, which is the matrix form
-    of requiring the pairing with ``e`` to be preserved on every element.
+    See :func:`order_unit_defect` for the defect and its tolerance.
     """
-    g = op.space.metric @ op.space.unit
-    defect = np.abs(op.matrix.T @ g - g).max()
-    return bool(defect <= scaled_tol(tol, g))
+    defect, bound = order_unit_defect(op, tol)
+    return defect <= bound
 
 
 def conditioned_probability(
@@ -167,6 +176,14 @@ class MeasurementSpec:
         return self.parent.space
 
 
+def completeness_gap(spec: MeasurementSpec, tol: float = DEFAULT_TOL) -> tuple:
+    """Largest entry of ``|sum_a M_a - M_*|`` and the scaled tolerance it is
+    judged against."""
+    summed = np.sum([op.matrix for op in spec.outcomes.values()], axis=0)
+    gap = float(np.abs(summed - spec.parent.matrix).max())
+    return gap, scaled_tol(tol, spec.parent.matrix)
+
+
 def measurement_defects(
     spec: MeasurementSpec,
     completeness_tol: float = 1e-10,
@@ -178,9 +195,8 @@ def measurement_defects(
     fixes the order-unit pairing.
     """
     defects = []
-    total = sum(op.matrix for op in spec.outcomes.values())
-    gap = np.abs(total - spec.parent.matrix).max()
-    if gap > scaled_tol(completeness_tol, spec.parent.matrix):
+    gap, bound = completeness_gap(spec, completeness_tol)
+    if gap > bound:
         defects.append(
             f"outcome maps of {spec.name!r} sum to the parent only up to {gap:.3e}"
         )
@@ -191,6 +207,29 @@ def measurement_defects(
     return defects
 
 
+def _require_normalized(b: Element, tol: float, what: str = "state") -> None:
+    total = inner(unit_element(b.space), b)
+    if abs(total - 1.0) > max(tol, 1e-9):
+        raise NotNormalizedError(
+            f"{what} pairing with the order unit is {total!r}, expected 1"
+        )
+
+
+def _branch(b: Element, spec: MeasurementSpec, outcome: str, tol: float) -> tuple:
+    """Image of a normalized state under one outcome map, and its probability."""
+    require_same_space(b.space, spec.space)
+    _require_normalized(b, tol)
+    try:
+        op = spec.outcomes[outcome]
+    except KeyError:
+        raise UnknownOutcomeError(
+            f"unknown outcome {outcome!r} for measurement {spec.name!r}; "
+            f"known: {sorted(spec.outcomes)}"
+        ) from None
+    image = apply_operation(op, b)
+    return image, inner(unit_element(b.space), image)
+
+
 def predict(
     b: Element, spec: MeasurementSpec, outcome: str, tol: float = DEFAULT_TOL
 ) -> float:
@@ -199,30 +238,24 @@ def predict(
     Evaluates the pairing of the order unit with the selected branch.  The
     state must come in normalized; this function does not renormalize.
     """
-    require_same_space(b.space, spec.space)
-    total = inner(unit_element(b.space), b)
-    if abs(total - 1.0) > max(tol, 1e-9):
-        raise NotNormalizedError(
-            f"state pairing with the order unit is {total!r}, expected 1"
-        )
-    try:
-        op = spec.outcomes[outcome]
-    except KeyError:
-        raise UnknownOutcomeError(
-            f"unknown outcome {outcome!r} for measurement {spec.name!r}; "
-            f"known: {sorted(spec.outcomes)}"
-        ) from None
-    return inner(unit_element(b.space), apply_operation(op, b))
+    return _branch(b, spec, outcome, tol)[1]
 
 
 def update_state(b: Element, m_a: OperationMap, tol: float = DEFAULT_TOL) -> Element:
     """Renormalized state after a selective operation fired."""
     image = apply_operation(m_a, b)
-    weight = inner(unit_element(b.space), image)
+    return _condition(
+        b, image, inner(unit_element(b.space), image), tol,
+        "cannot condition on an outcome of probability zero",
+    )
+
+
+def _condition(
+    b: Element, image: Element, weight: float, tol: float, message: str
+) -> Element:
+    """``image`` divided by its order-unit pairing ``weight``, which must not vanish."""
     if weight <= scaled_tol(tol, b.coords):
-        raise ZeroProbabilityError(
-            "cannot condition on an outcome of probability zero"
-        )
+        raise ZeroProbabilityError(message)
     return Element(b.space, image.coords / weight)
 
 
@@ -255,7 +288,8 @@ class EvolutionGroup:
                 )
             if sorted(perm.tolist()) != list(range(self.space.dim)):
                 raise InvalidEvolutionError(
-                    "image table is not a permutation of the point indices"
+                    f"{self.permutation!r} is not a permutation of "
+                    f"0..{self.space.dim - 1}"
                 )
             # the pairing with the order unit must survive the shift, which
             # for g = metric @ unit means g is constant on every orbit
@@ -263,7 +297,7 @@ class EvolutionGroup:
             drift = float(np.abs(g[perm] - g).max())
             if drift > 1e-12 * max(1.0, float(np.abs(g).max())):
                 raise InvalidEvolutionError(
-                    "permutation does not preserve the reference measure"
+                    "permutation does not preserve the measure"
                 )
             perm.setflags(write=False)
             object.__setattr__(self, "permutation", perm)
@@ -288,7 +322,13 @@ def _invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _permutation_power(perm: np.ndarray, steps: int) -> np.ndarray:
+def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
+    """Image table of the time-``delta`` shift; ``delta`` must be an integer."""
+    steps = int(round(delta))
+    if abs(delta - steps) > 1e-9:
+        raise InvalidEvolutionError(
+            f"permutation evolution needs integer steps, got {delta!r}"
+        )
     result = np.arange(perm.size)
     base = perm if steps >= 0 else _invert_permutation(perm)
     steps = abs(steps)
@@ -311,12 +351,7 @@ def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
     """Apply the time-``delta`` member of the group to an element."""
     require_same_space(group.space, b.space)
     if group.kind == "permutation":
-        steps = int(round(delta))
-        if abs(delta - steps) > 1e-9:
-            raise InvalidEvolutionError(
-                f"permutation evolution needs integer steps, got {delta!r}"
-            )
-        image_of = _permutation_power(group.permutation, steps)
+        image_of = _permutation_power(group.permutation, delta)
         out = np.empty_like(b.coords)
         out[image_of] = b.coords
         return Element(b.space, out)
@@ -328,20 +363,11 @@ def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
 def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
     """The time-``delta`` member of the group as an explicit operation map."""
     if group.kind == "permutation":
-        steps = int(round(delta))
-        if abs(delta - steps) > 1e-9:
-            raise InvalidEvolutionError(
-                f"permutation evolution needs integer steps, got {delta!r}"
-            )
-        image_of = _permutation_power(group.permutation, steps)
+        image_of = _permutation_power(group.permutation, delta)
         matrix = np.zeros((group.space.dim, group.space.dim))
         matrix[image_of, np.arange(group.space.dim)] = 1.0
     else:
-        d = group.space.psd_dim
-        u = propagator(group.hamiltonian, delta)
-        basis = hermitian_basis(d)
-        images = np.einsum("ij,ajk,lk->ail", u, basis, u.conj())
-        matrix = np.real(np.einsum("pij,aji->pa", basis, images))
+        matrix = conjugation_matrix(propagator(group.hamiltonian, delta))
     return OperationMap(group.space, matrix, "nonselective", "evolution")
 
 
@@ -407,11 +433,7 @@ def run_sequence(
     remains the joint probability of all recorded outcomes given preparation
     and post-selection.
     """
-    total = inner(unit_element(b.space), b)
-    if abs(total - 1.0) > max(tol, 1e-9):
-        raise NotNormalizedError(
-            f"initial state pairing with the order unit is {total!r}, expected 1"
-        )
+    _require_normalized(b, tol, "initial state")
     state = b
     # reference branch with every measurement unread, for the
     # post-selection denominator
@@ -433,13 +455,12 @@ def run_sequence(
                 reference = apply_operation(spec.parent, reference)
             records.append(StepRecord(spec.name, UNOBSERVED, 1.0))
             continue
-        p = predict(state, spec, step.outcome, tol)
-        if p <= scaled_tol(tol, state.coords):
-            raise ZeroProbabilityError(
-                f"outcome {step.outcome!r} of measurement {spec.name!r} has "
-                "probability zero; cannot condition on it"
-            )
-        state = update_state(state, spec.outcomes[step.outcome], tol)
+        image, p = _branch(state, spec, step.outcome, tol)
+        state = _condition(
+            state, image, p, tol,
+            f"outcome {step.outcome!r} of measurement {spec.name!r} has "
+            "probability zero; cannot condition on it",
+        )
         if reference is not None:
             reference = apply_operation(spec.parent, reference)
         probability *= p

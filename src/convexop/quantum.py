@@ -30,8 +30,10 @@ from .errors import (
     ZeroStateError,
 )
 from .hermitian import (
+    conjugation_matrix,
     coords_to_matrix,
     hermitian_basis,
+    images_to_matrix,
     matrix_to_coords,
     require_hermitian,
 )
@@ -169,15 +171,6 @@ def kraus_nonselective_check(kraus: KrausSet, tol: float = 1e-10) -> bool:
     return bool(np.abs(total - np.eye(kraus.d)).max() <= tol)
 
 
-def _operation_from_images(
-    space: ModelSpace, images: np.ndarray, selectivity: str, provenance: str
-) -> OperationMap:
-    # images[a] = image matrix of the a-th storage basis element
-    d = space.psd_dim
-    matrix = np.real(np.einsum("pij,aji->pa", hermitian_basis(d), images))
-    return OperationMap(space, matrix, selectivity, provenance)
-
-
 def kraus_operation(
     space: ModelSpace,
     kraus: KrausSet,
@@ -199,7 +192,7 @@ def kraus_operation(
         )
     ops = np.stack(kraus.operators)
     images = np.einsum("rij,ajk,rlk->ail", ops, hermitian_basis(d), ops.conj())
-    return _operation_from_images(space, images, selectivity, "kraus")
+    return OperationMap(space, images_to_matrix(images), selectivity, "kraus")
 
 
 class ChoiReport(NamedTuple):
@@ -382,8 +375,7 @@ def unitary_operation(space: ModelSpace, u: np.ndarray) -> OperationMap:
         raise UnsupportedSpaceError(f"unitary shape {u.shape} does not fit size {d}")
     if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
-    images = np.einsum("ij,ajk,lk->ail", u, hermitian_basis(d), u.conj())
-    return _operation_from_images(space, images, "nonselective", "unitary")
+    return OperationMap(space, conjugation_matrix(u), "nonselective", "unitary")
 
 
 def _rk4(f, y, t: float, dt: float):

@@ -53,7 +53,8 @@ from .operational import (
     MeasureStep,
     MeasurementSpec,
     OperationMap,
-    is_nonselective,
+    completeness_gap,
+    order_unit_defect,
     run_sequence,
 )
 from .quantum import (
@@ -70,213 +71,216 @@ from .quantum import (
 from .spaces import (
     DEFAULT_TOL,
     Element,
+    cone_margin,
     inner,
     normalize_state,
     scaled_tol,
     unit_element,
 )
 
-MEASURE_FORMS = ("observable", "projectors", "kraus", "coords_matrix", "subset")
-
-
 # ---------------------------------------------------------------------------
-# schema checks (shape and type only; semantics live in bind_scenario)
+# schema (shape and type only; semantics live in bind_scenario)
 # ---------------------------------------------------------------------------
+#
+# Each combinator below returns a checker ``check(value, path)`` that raises
+# ScenarioSchemaError on the first violation, walking fields in declaration
+# order.  The empty path is the document root.
 
-def _require_mapping(value, path: str) -> dict:
+def _fail(path: str, message: str):
+    raise ScenarioSchemaError(f"{path or 'document'}: {message}")
+
+
+def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioSchemaError(
-            f"{path}: expected a mapping, got {type(value).__name__}"
-        )
+        _fail(path, f"expected a mapping, got {type(value).__name__}")
     return value
 
 
-def _require_keys(mapping: dict, path: str, required, optional=()) -> None:
-    for key in mapping:
-        if key not in required and key not in optional:
-            raise ScenarioSchemaError(f"{path}: unknown field {key!r}")
-    for key in required:
-        if key not in mapping:
-            raise ScenarioSchemaError(f"{path}: missing field {key!r}")
+def _instance(types, noun: str):
+    """Leaf holding a value of ``types``; booleans never count as numbers."""
+
+    def check(value, path: str) -> None:
+        if isinstance(value, bool) or not isinstance(value, types):
+            _fail(path, f"expected {noun}")
+
+    return check
 
 
-def _check_real(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioSchemaError(f"{path}: expected a real number")
+_integer = _instance(int, "an integer")
+_string = _instance(str, "a string")
+_number = _instance((int, float), "a real number")
+
+
+def _real(value, path: str) -> None:
+    _number(value, path)
     if not math.isfinite(value):
-        raise ScenarioSchemaError(f"{path}: expected a finite number")
+        _fail(path, "expected a finite number")
 
 
-def _check_int(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioSchemaError(f"{path}: expected an integer")
-
-
-def _check_str(value, path: str) -> None:
-    if not isinstance(value, str):
-        raise ScenarioSchemaError(f"{path}: expected a string")
-
-
-def _check_complex(value, path: str) -> None:
-    if isinstance(value, list):
-        if len(value) != 2:
-            raise ScenarioSchemaError(f"{path}: complex entries are [re, im] pairs")
-        _check_real(value[0], f"{path}[0]")
-        _check_real(value[1], f"{path}[1]")
-        return
-    _check_real(value, path)
-
-
-def _check_matrix(value, path: str, complex_ok: bool = True) -> None:
-    if not isinstance(value, list) or not value:
-        raise ScenarioSchemaError(f"{path}: expected a nonempty list of rows")
-    width = None
-    for r, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ScenarioSchemaError(f"{path}[{r}]: expected a nonempty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ScenarioSchemaError(f"{path}[{r}]: rows have unequal lengths")
-        for c, entry in enumerate(row):
-            if complex_ok:
-                _check_complex(entry, f"{path}[{r}][{c}]")
-            else:
-                _check_real(entry, f"{path}[{r}][{c}]")
-
-
-def _check_state(value, path: str) -> None:
-    state = _require_mapping(value, path)
-    forms = [key for key in ("pure", "matrix", "values") if key in state]
-    if len(forms) != 1:
-        raise ScenarioSchemaError(
-            f"{path}: exactly one of 'pure', 'matrix', 'values' is required"
-        )
-    _require_keys(state, path, required=forms)
-    form = forms[0]
-    if form == "pure":
-        if not isinstance(state["pure"], list) or not state["pure"]:
-            raise ScenarioSchemaError(f"{path}.pure: expected a nonempty list")
-        for k, entry in enumerate(state["pure"]):
-            _check_complex(entry, f"{path}.pure[{k}]")
-    elif form == "matrix":
-        _check_matrix(state["matrix"], f"{path}.matrix")
-    else:
-        if not isinstance(state["values"], list) or not state["values"]:
-            raise ScenarioSchemaError(f"{path}.values: expected a nonempty list")
-        for k, entry in enumerate(state["values"]):
-            _check_real(entry, f"{path}.values[{k}]")
-
-
-def _check_model(value, path: str) -> None:
-    model = _require_mapping(value, path)
-    kind = model.get("kind")
-    if kind == "quantum":
-        _require_keys(model, path, required=("kind", "d"))
-        _check_int(model["d"], f"{path}.d")
-    elif kind == "classical":
-        _require_keys(model, path, required=("kind", "n", "mu"))
-        _check_int(model["n"], f"{path}.n")
-        if not isinstance(model["mu"], list) or not model["mu"]:
-            raise ScenarioSchemaError(f"{path}.mu: expected a nonempty list")
-        for k, entry in enumerate(model["mu"]):
-            _check_real(entry, f"{path}.mu[{k}]")
-    else:
-        raise ScenarioSchemaError(
-            f"{path}.kind: expected 'quantum' or 'classical', got {kind!r}"
-        )
-
-
-def _check_evolution(value, path: str) -> None:
-    evolution = _require_mapping(value, path)
-    forms = [key for key in ("hamiltonian", "permutation") if key in evolution]
-    if len(forms) != 1:
-        raise ScenarioSchemaError(
-            f"{path}: exactly one of 'hamiltonian', 'permutation' is required"
-        )
-    _require_keys(evolution, path, required=forms)
-    if forms[0] == "hamiltonian":
-        _check_matrix(evolution["hamiltonian"], f"{path}.hamiltonian")
-    else:
-        cycles = evolution["permutation"]
-        if not isinstance(cycles, list):
-            raise ScenarioSchemaError(f"{path}.permutation: expected a list of cycles")
-        for k, cycle in enumerate(cycles):
-            if not isinstance(cycle, list) or not cycle:
-                raise ScenarioSchemaError(
-                    f"{path}.permutation[{k}]: expected a nonempty cycle"
-                )
-            for j, entry in enumerate(cycle):
-                _check_int(entry, f"{path}.permutation[{k}][{j}]")
-
-
-def _check_measure(value, path: str) -> None:
-    measure = _require_mapping(value, path)
-    forms = [key for key in MEASURE_FORMS if key in measure]
-    if len(forms) != 1:
-        raise ScenarioSchemaError(
-            f"{path}: exactly one measurement form out of {MEASURE_FORMS} is required"
-        )
-    form = forms[0]
-    optional = ("parent",) if form == "coords_matrix" else ()
-    _require_keys(measure, path, required=("name", "outcome", form), optional=optional)
-    _check_str(measure["name"], f"{path}.name")
-    _check_str(measure["outcome"], f"{path}.outcome")
-    if form == "observable":
-        _check_matrix(measure["observable"], f"{path}.observable")
-    elif form == "projectors":
-        table = _require_mapping(measure["projectors"], f"{path}.projectors")
-        if not table:
-            raise ScenarioSchemaError(f"{path}.projectors: expected at least one outcome")
-        for label, mat in table.items():
-            _check_str(label, f"{path}.projectors key")
-            _check_matrix(mat, f"{path}.projectors[{label!r}]")
-    elif form == "kraus":
-        table = _require_mapping(measure["kraus"], f"{path}.kraus")
-        if not table:
-            raise ScenarioSchemaError(f"{path}.kraus: expected at least one outcome")
-        for label, mats in table.items():
-            _check_str(label, f"{path}.kraus key")
-            if not isinstance(mats, list) or not mats:
-                raise ScenarioSchemaError(
-                    f"{path}.kraus[{label!r}]: expected a nonempty list of matrices"
-                )
-            for k, mat in enumerate(mats):
-                _check_matrix(mat, f"{path}.kraus[{label!r}][{k}]")
-    elif form == "coords_matrix":
-        table = _require_mapping(measure["coords_matrix"], f"{path}.coords_matrix")
-        if not table:
-            raise ScenarioSchemaError(
-                f"{path}.coords_matrix: expected at least one outcome"
-            )
-        for label, mat in table.items():
-            _check_str(label, f"{path}.coords_matrix key")
-            _check_matrix(mat, f"{path}.coords_matrix[{label!r}]", complex_ok=False)
-        if "parent" in measure:
-            _check_matrix(measure["parent"], f"{path}.parent", complex_ok=False)
-    else:
-        subset = measure["subset"]
-        if not isinstance(subset, list):
-            raise ScenarioSchemaError(f"{path}.subset: expected a list of point indices")
-        for k, entry in enumerate(subset):
-            _check_int(entry, f"{path}.subset[{k}]")
-
-
-def _check_steps(value, path: str) -> None:
+def _complex(value, path: str) -> None:
     if not isinstance(value, list):
-        raise ScenarioSchemaError(f"{path}: expected a list of steps")
-    for k, raw in enumerate(value):
-        step = _require_mapping(raw, f"{path}[{k}]")
-        if set(step) == {"measure"}:
-            _check_measure(step["measure"], f"{path}[{k}].measure")
-        elif set(step) == {"evolve"}:
-            evolve = _require_mapping(step["evolve"], f"{path}[{k}].evolve")
-            _require_keys(evolve, f"{path}[{k}].evolve", required=("delta",))
-            _check_real(evolve["delta"], f"{path}[{k}].evolve.delta")
-        else:
-            raise ScenarioSchemaError(
-                f"{path}[{k}]: expected a single 'measure' or 'evolve' field"
-            )
+        return _real(value, path)
+    if len(value) != 2:
+        _fail(path, "complex entries are [re, im] pairs")
+    _real(value[0], f"{path}[0]")
+    _real(value[1], f"{path}[1]")
+
+
+def _matrix(entry):
+    """Nonempty list of nonempty, equally long rows of ``entry`` values."""
+
+    def check(value, path: str) -> None:
+        if not isinstance(value, list) or not value:
+            _fail(path, "expected a nonempty list of rows")
+        for r, row in enumerate(value):
+            where = f"{path}[{r}]"
+            if not isinstance(row, list) or not row:
+                _fail(where, "expected a nonempty row")
+            if len(row) != len(value[0]):
+                _fail(where, "rows have unequal lengths")
+            for c, item in enumerate(row):
+                entry(item, f"{where}[{c}]")
+
+    return check
+
+
+def _list(noun: str, item, nonempty: bool = False):
+    def check(value, path: str) -> None:
+        if not isinstance(value, list) or (nonempty and not value):
+            _fail(path, f"expected a {noun}")
+        for k, entry in enumerate(value):
+            item(entry, f"{path}[{k}]")
+
+    return check
+
+
+def _record(fields: dict, optional=()):
+    """Mapping with exactly the keys of ``fields``, some of them optional."""
+
+    def check(value, path: str) -> None:
+        mapping = _mapping(value, path)
+        for key in mapping:
+            if key not in fields:
+                _fail(path, f"unknown field {key!r}")
+        for key in fields:
+            if key not in optional and key not in mapping:
+                _fail(path, f"missing field {key!r}")
+        for key, item in fields.items():
+            if key in mapping:
+                item(mapping[key], f"{path}.{key}" if path else key)
+
+    return check
+
+
+def _one_of(forms: dict, choice: str | None = None):
+    """Mapping holding exactly one key of ``forms``; that form's record then
+    checks the whole mapping."""
+    choice = choice or "of " + ", ".join(map(repr, forms))
+
+    def check(value, path: str) -> None:
+        mapping = _mapping(value, path)
+        present = [key for key in forms if key in mapping]
+        if len(present) != 1:
+            _fail(path, f"exactly one {choice} is required")
+        forms[present[0]](mapping, path)
+
+    return check
+
+
+def _table(item):
+    """Nonempty mapping from string outcome labels to ``item`` values."""
+
+    def check(value, path: str) -> None:
+        table = _mapping(value, path)
+        if not table:
+            _fail(path, "expected at least one outcome")
+        for label, entry in table.items():
+            _string(label, f"{path} key")
+            item(entry, f"{path}[{label!r}]")
+
+    return check
+
+
+_COMPLEX_MATRIX = _matrix(_complex)
+_REAL_MATRIX = _matrix(_real)
+
+#: Measurement form -> schema of its payload, in the order forms are listed.
+_MEASURE_PAYLOADS = {
+    "observable": _COMPLEX_MATRIX,
+    "projectors": _table(_COMPLEX_MATRIX),
+    "kraus": _table(_list("nonempty list of matrices", _COMPLEX_MATRIX, nonempty=True)),
+    "coords_matrix": _table(_REAL_MATRIX),
+    "subset": _list("list of point indices", _integer),
+}
+MEASURE_FORMS = tuple(_MEASURE_PAYLOADS)
+
+_STATE = _one_of({
+    "pure": _record({"pure": _list("nonempty list", _complex, nonempty=True)}),
+    "matrix": _record({"matrix": _COMPLEX_MATRIX}),
+    "values": _record({"values": _list("nonempty list", _real, nonempty=True)}),
+})
+
+_MEASURE = _one_of(
+    {
+        form: _record(
+            {"name": _string, "outcome": _string, form: payload}
+            | ({"parent": _REAL_MATRIX} if form == "coords_matrix" else {}),
+            optional=("parent",),
+        )
+        for form, payload in _MEASURE_PAYLOADS.items()
+    },
+    choice=f"measurement form out of {MEASURE_FORMS}",
+)
+
+_MODELS = {
+    "quantum": _record({"kind": _string, "d": _integer}),
+    "classical": _record({
+        "kind": _string,
+        "n": _integer,
+        "mu": _list("nonempty list", _real, nonempty=True),
+    }),
+}
+
+
+def _model(value, path: str) -> None:
+    """Mapping whose 'kind' field names the record that checks it."""
+    model = _mapping(value, path)
+    kind = model.get("kind")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        _fail(f"{path}.kind", f"expected 'quantum' or 'classical', got {kind!r}")
+    _MODELS[kind](model, path)
+
+
+_STEPS = {"measure": _MEASURE, "evolve": _record({"delta": _real})}
+
+
+def _step(value, path: str) -> None:
+    """Mapping with a single field, 'measure' or 'evolve'."""
+    step = _mapping(value, path)
+    if len(step) != 1 or next(iter(step)) not in _STEPS:
+        _fail(path, "expected a single 'measure' or 'evolve' field")
+    ((key, payload),) = step.items()
+    _STEPS[key](payload, f"{path}.{key}")
+
+
+_SCENARIO = _record(
+    {
+        "model": _model,
+        "initial": _STATE,
+        "steps": _list("list of steps", _step),
+        "evolution": _one_of({
+            "hamiltonian": _record({"hamiltonian": _COMPLEX_MATRIX}),
+            "permutation": _record({"permutation": _list(
+                "list of cycles", _list("nonempty cycle", _integer, nonempty=True)
+            )}),
+        }),
+        "post_selection": _STATE,
+        "seed": _integer,
+    },
+    optional=("evolution", "post_selection", "seed"),
+)
+
+_WITNESS = _record({"A": _COMPLEX_MATRIX, "B": _COMPLEX_MATRIX})
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +310,29 @@ def _load_yaml(text: str):
         raise ScenarioSyntaxError(problem) from exc
 
 
-def parse_scenario_text(text: str) -> ScenarioDoc:
-    """Parse and schema-check a scenario document from a string."""
+def _load_document(text: str, schema) -> dict:
     raw = _load_yaml(text)
     if raw is None:
         raise ScenarioSchemaError("document is empty")
-    root = _require_mapping(raw, "document")
-    _require_keys(
-        root,
-        "document",
-        required=("model", "initial", "steps"),
-        optional=("evolution", "post_selection", "seed"),
-    )
-    _check_model(root["model"], "model")
-    _check_state(root["initial"], "initial")
-    _check_steps(root["steps"], "steps")
-    if "evolution" in root:
-        _check_evolution(root["evolution"], "evolution")
-    if "post_selection" in root:
-        _check_state(root["post_selection"], "post_selection")
-    if "seed" in root:
-        _check_int(root["seed"], "seed")
+    schema(raw, "")
+    return raw
+
+
+def _read_text(path) -> str:
+    """File contents as text; bytes that are not UTF-8 are a syntax error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ScenarioSyntaxError(
+            f"not UTF-8 text: byte 0x{byte:02x} at offset {exc.start}"
+        ) from exc
+
+
+def parse_scenario_text(text: str) -> ScenarioDoc:
+    """Parse and schema-check a scenario document from a string."""
+    root = _load_document(text, _SCENARIO)
     return ScenarioDoc(
         model=root["model"],
         initial=root["initial"],
@@ -339,8 +345,7 @@ def parse_scenario_text(text: str) -> ScenarioDoc:
 
 def parse_scenario(path) -> ScenarioDoc:
     """Parse and schema-check a scenario file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario_text(handle.read())
+    return parse_scenario_text(_read_text(path))
 
 
 def serialize_scenario(doc: ScenarioDoc) -> str:
@@ -377,6 +382,15 @@ def _to_real_matrix(rows) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _square(rows, n: int, where: str, convert=_to_complex_matrix) -> np.ndarray:
+    mat = convert(rows)
+    if mat.shape != (n, n):
+        raise ScenarioValidationError(
+            f"{where}: expected a {n} by {n} matrix, got {mat.shape}"
+        )
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class BoundScenario:
     """A document resolved against a concrete model space."""
@@ -407,11 +421,7 @@ def _bind_state(space, kind: str, payload: dict, where: str) -> Element:
             if float(np.linalg.norm(amps)) <= 1e-12:
                 raise ScenarioValidationError(f"{where}.pure: amplitude vector is zero")
             return from_matrix(space, pure_state(amps))
-        mat = _to_complex_matrix(payload["matrix"])
-        if mat.shape != (d, d):
-            raise ScenarioValidationError(
-                f"{where}.matrix: expected a {d} by {d} matrix, got {mat.shape}"
-            )
+        mat = _square(payload["matrix"], d, f"{where}.matrix")
         try:
             return from_matrix(space, mat)
         except ValueError as exc:
@@ -453,12 +463,7 @@ def _bind_evolution(space, kind: str, payload: dict):
             raise ScenarioValidationError(
                 "evolution.hamiltonian: requires the quantum model"
             )
-        h = _to_complex_matrix(payload["hamiltonian"])
-        d = space.psd_dim
-        if h.shape != (d, d):
-            raise ScenarioValidationError(
-                f"evolution.hamiltonian: expected a {d} by {d} matrix, got {h.shape}"
-            )
+        h = _square(payload["hamiltonian"], space.psd_dim, "evolution.hamiltonian")
         try:
             return hamiltonian_evolution(h, space)
         except (ValueError, ConvexOpError) as exc:
@@ -475,25 +480,47 @@ def _bind_evolution(space, kind: str, payload: dict):
 
 
 def _bind_measure(space, kind: str, payload: dict, where: str):
-    """Build the MeasurementSpec and the outcome label for one measure step."""
+    """Build the MeasurementSpec of one measure step."""
     name = payload["name"]
     if "observable" in payload:
         if kind != "quantum":
             raise ScenarioValidationError(
                 f"{where}.observable: requires the quantum model"
             )
-        obs = _to_complex_matrix(payload["observable"])
-        d = space.psd_dim
-        if obs.shape != (d, d):
-            raise ScenarioValidationError(
-                f"{where}.observable: expected a {d} by {d} matrix, got {obs.shape}"
-            )
+        obs = _square(payload["observable"], space.psd_dim, f"{where}.observable")
         try:
             spec, _ = spectral_measurement(obs, space=space, name=name)
         except (ValueError, ConvexOpError) as exc:
             raise ScenarioValidationError(f"{where}.observable: {exc}") from exc
         return spec
-    if "projectors" in payload or "kraus" in payload:
+    if "subset" in payload:
+        if kind != "classical":
+            raise ScenarioValidationError(
+                f"{where}.subset: requires the classical model"
+            )
+        try:
+            return indicator_measurement(space, payload["subset"], name=name)
+        except ValueError as exc:
+            raise ScenarioValidationError(f"{where}.subset: {exc}") from exc
+    if "coords_matrix" in payload:
+        n = space.dim
+        table = {
+            label: OperationMap(
+                space,
+                _square(rows, n, f"{where}.coords_matrix[{label!r}]", _to_real_matrix),
+                "selective",
+                "generic",
+            )
+            for label, rows in payload["coords_matrix"].items()
+        }
+        if "parent" in payload:
+            parent_mat = _square(
+                payload["parent"], n, f"{where}.parent", _to_real_matrix
+            )
+        else:
+            parent_mat = np.sum([op.matrix for op in table.values()], axis=0)
+        parent = OperationMap(space, parent_mat, "nonselective", "generic")
+    else:
         if kind != "quantum":
             raise ScenarioValidationError(
                 f"{where}: Kraus and projector forms require the quantum model"
@@ -522,40 +549,10 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
             "nonselective",
             "kraus",
         )
-        try:
-            return MeasurementSpec(name=name, outcomes=table, parent=parent)
-        except (ValueError, TypeError) as exc:
-            raise ScenarioValidationError(f"{where}: {exc}") from exc
-    if "coords_matrix" in payload:
-        table = {}
-        for label, rows in payload["coords_matrix"].items():
-            mat = _to_real_matrix(rows)
-            if mat.shape != (space.dim, space.dim):
-                raise ScenarioValidationError(
-                    f"{where}.coords_matrix[{label!r}]: expected a {space.dim} by "
-                    f"{space.dim} matrix, got {mat.shape}"
-                )
-            table[label] = OperationMap(space, mat, "selective", "generic")
-        if "parent" in payload:
-            parent_mat = _to_real_matrix(payload["parent"])
-            if parent_mat.shape != (space.dim, space.dim):
-                raise ScenarioValidationError(
-                    f"{where}.parent: expected a {space.dim} by {space.dim} matrix"
-                )
-        else:
-            parent_mat = np.sum([op.matrix for op in table.values()], axis=0)
-        parent = OperationMap(space, parent_mat, "nonselective", "generic")
-        try:
-            return MeasurementSpec(name=name, outcomes=table, parent=parent)
-        except (ValueError, TypeError) as exc:
-            raise ScenarioValidationError(f"{where}: {exc}") from exc
-    # subset form
-    if kind != "classical":
-        raise ScenarioValidationError(f"{where}.subset: requires the classical model")
     try:
-        return indicator_measurement(space, payload["subset"], name=name)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{where}.subset: {exc}") from exc
+        return MeasurementSpec(name=name, outcomes=table, parent=parent)
+    except (ValueError, TypeError) as exc:
+        raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
 def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
@@ -639,14 +636,13 @@ class CheckResult:
 
 
 def _cone_check(element: Element, target: str, tol: float) -> CheckResult:
-    if element.space.cone_kind == "psd":
-        low = float(np.linalg.eigvalsh(to_matrix(element)).min())
-        detail = f"min eigenvalue {low:.6e}"
-    else:
-        low = float(element.coords.min())
-        detail = f"min value {low:.6e}"
+    low = cone_margin(element)
+    what = "min eigenvalue" if element.space.cone_kind == "psd" else "min value"
     return CheckResult(
-        "cone_membership", target, low >= -scaled_tol(tol, element.coords), detail
+        "cone_membership",
+        target,
+        low >= -scaled_tol(tol, element.coords),
+        f"{what} {low:.6e}",
     )
 
 
@@ -675,26 +671,13 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
             continue
         seen.add(id(step.spec))
         spec = step.spec
-        summed = np.sum([op.matrix for op in spec.outcomes.values()], axis=0)
-        gap = float(np.abs(summed - spec.parent.matrix).max())
-        checks.append(
-            CheckResult(
-                "completeness",
-                spec.name,
-                gap <= scaled_tol(tol, spec.parent.matrix),
-                f"max deviation {gap:.6e}",
+        for check, (defect, limit), what in (
+            ("completeness", completeness_gap(spec, tol), "max deviation"),
+            ("causality", order_unit_defect(spec.parent, tol), "order-unit defect"),
+        ):
+            checks.append(
+                CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
             )
-        )
-        g = spec.space.metric @ spec.space.unit
-        defect = float(np.abs(spec.parent.matrix.T @ g - g).max())
-        checks.append(
-            CheckResult(
-                "causality",
-                spec.name,
-                is_nonselective(spec.parent, tol),
-                f"order-unit defect {defect:.6e}",
-            )
-        )
     for target, op in bound.quantum_ops:
         report = choi_cp_check(op, tol)
         checks.append(
@@ -726,13 +709,10 @@ class RunReport:
 
 def _serialize_state(space, element: Element) -> dict:
     if space.cone_kind == "psd":
-        mat = to_matrix(element)
         return {
             "kind": "quantum",
             "d": int(space.psd_dim),
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in mat
-            ],
+            "matrix": _serialize_complex_matrix(to_matrix(element)),
         }
     return {
         "kind": "classical",
@@ -870,13 +850,7 @@ def render_validation(checks) -> str:
 
 def parse_witness_text(text: str) -> tuple:
     """Parse a witness input: a mapping with Hermitian matrices 'A' and 'B'."""
-    raw = _load_yaml(text)
-    if raw is None:
-        raise ScenarioSchemaError("document is empty")
-    root = _require_mapping(raw, "document")
-    _require_keys(root, "document", required=("A", "B"))
-    _check_matrix(root["A"], "A")
-    _check_matrix(root["B"], "B")
+    root = _load_document(text, _WITNESS)
     out = []
     for key in ("A", "B"):
         mat = _to_complex_matrix(root[key])
@@ -888,8 +862,7 @@ def parse_witness_text(text: str) -> tuple:
 
 
 def parse_witness_file(path) -> tuple:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_witness_text(handle.read())
+    return parse_witness_text(_read_text(path))
 
 
 def _serialize_complex_matrix(mat) -> list:

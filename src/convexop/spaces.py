@@ -203,25 +203,29 @@ def inner(b: Element, c: Element) -> float:
     return float(b.coords @ (b.space.metric @ c.coords))
 
 
-def is_positive(b: Element, tol: float = DEFAULT_TOL) -> bool:
-    """Cone membership up to the scaled tolerance.
+def cone_margin(b: Element) -> float:
+    """How far inside the cone ``b`` lies; it is in the cone iff this is >= 0.
 
-    componentwise: all coordinates at least ``-tol`` (scaled); psd: all
-    eigenvalues of the matrix form at least ``-tol`` (scaled).  Product
-    spaces refuse the query, since deciding membership in a tensor-product
-    cone with a psd factor is outside what this library commits to.
+    componentwise: the least coordinate; psd: the least eigenvalue of the
+    matrix form.  Product spaces refuse the query, since deciding membership
+    in a tensor-product cone with a psd factor is outside what this library
+    commits to.
     """
-    eff = scaled_tol(tol, b.coords)
     kind = b.space.cone_kind
     if kind == "componentwise":
-        return bool(b.coords.min() >= -eff)
+        return float(b.coords.min())
     if kind == "psd":
-        eigs = np.linalg.eigvalsh(coords_to_matrix(b.coords))
-        return bool(eigs.min() >= -eff)
+        return float(np.linalg.eigvalsh(coords_to_matrix(b.coords)).min())
     raise UnsupportedSpaceError(
         "cone membership is only decided for componentwise and psd spaces, "
         f"not for {b.space.space_id!r}"
     )
+
+
+def is_positive(b: Element, tol: float = DEFAULT_TOL) -> bool:
+    """Cone membership up to the scaled tolerance: ``cone_margin(b) >= -tol``."""
+    eff = scaled_tol(tol, b.coords)
+    return cone_margin(b) >= -eff
 
 
 def leq(b: Element, c: Element, tol: float = DEFAULT_TOL) -> bool:

@@ -157,6 +157,27 @@ def test_witness_verb_rejects_missing_matrix(tmp_path, capsys):
     assert run_main("witness-antilattice", bad) == 2
 
 
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        # positivity of B is checked before its size is compared with A's
+        (
+            "[[1, 0, 0], [0, -1, 0], [0, 0, 1]]",
+            "error: B: not positive semidefinite (min eigenvalue -1.000000e+00)\n",
+        ),
+        (
+            "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+            "error: matrix size 3 does not match the space's 2\n",
+        ),
+    ],
+)
+def test_witness_verb_size_mismatch(b, message, tmp_path, capsys):
+    bad = tmp_path / "w.yaml"
+    bad.write_text(f"A: [[1, 0], [0, 1]]\nB: {b}\n")
+    assert run_main("witness-antilattice", bad) == 3
+    assert capsys.readouterr().err == message
+
+
 def test_console_script_runs_in_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "convexop", "run", str(SCENARIOS / "quantum_zx.yaml")],
@@ -177,3 +198,11 @@ def test_subprocess_and_in_process_agree(capsys):
         text=True,
     )
     assert result.stdout == in_process
+
+
+@pytest.mark.parametrize("verb", ["run", "validate", "witness-antilattice"])
+def test_non_utf8_file_is_exit_2(verb, tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"model: {kind: quantum, d: 2}\n# caf\xff\n")
+    assert run_main(verb, bad) == 2
+    assert capsys.readouterr().err == "error: not UTF-8 text: byte 0xff at offset 34\n"
