@@ -71,7 +71,7 @@ def indicator_measurement(
 
     Outcome ``"in"`` multiplies by the indicator of the subset, outcome
     ``"out"`` by the indicator of the complement.  Reading neither changes
-    nothing, so the parent operation is the identity.
+    nothing: the parent operation, the sum of the two, is the identity.
     """
     if space.cone_kind != "componentwise":
         raise UnsupportedSpaceError("indicator measurements need a classical space")
@@ -83,10 +83,9 @@ def indicator_measurement(
     return MeasurementSpec(
         name=name,
         outcomes={
-            "in": OperationMap(space, np.diag(chi), "selective", "indicator"),
-            "out": OperationMap(space, np.diag(1.0 - chi), "selective", "indicator"),
+            "in": OperationMap(space, np.diag(chi), "selective"),
+            "out": OperationMap(space, np.diag(1.0 - chi), "selective"),
         },
-        parent=OperationMap(space, np.eye(space.dim), "nonselective", "indicator"),
     )
 
 

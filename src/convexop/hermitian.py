@@ -65,10 +65,7 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarr
 
 def matrix_to_coords(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Real coordinates ``tr(B_a m)`` of a Hermitian matrix."""
-    mat = require_hermitian(mat, tol)
-    d = mat.shape[0]
-    coords = np.einsum("aij,ji->a", hermitian_basis(d), mat)
-    return np.real(coords)
+    return np.real(complex_coords(require_hermitian(mat, tol)))
 
 
 def coords_to_matrix(coords: np.ndarray) -> np.ndarray:
@@ -80,16 +77,15 @@ def coords_to_matrix(coords: np.ndarray) -> np.ndarray:
     return np.einsum("a,aij->ij", coords, hermitian_basis(d))
 
 
-def images_to_matrix(images: np.ndarray) -> np.ndarray:
-    """Real matrix on coordinates of the linear map ``B_a -> images[a]``."""
-    d = images.shape[-1]
-    return np.real(np.einsum("pij,aji->pa", hermitian_basis(d), images))
+def kraus_matrix(ops: np.ndarray) -> np.ndarray:
+    """Real matrix on coordinates of the map ``b -> sum_r K_r b K_r^dagger``.
 
-
-def conjugation_matrix(u: np.ndarray) -> np.ndarray:
-    """Real matrix on coordinates of the conjugation ``b -> U b U^dagger``."""
-    basis = hermitian_basis(u.shape[0])
-    return images_to_matrix(np.einsum("ij,ajk,lk->ail", u, basis, u.conj()))
+    ``ops`` stacks the Kraus operators with shape ``(r, d, d)``; a unitary
+    conjugation is the case of one operator.
+    """
+    basis = hermitian_basis(ops.shape[-1])
+    images = np.einsum("rij,ajk,rlk->ail", ops, basis, ops.conj())
+    return np.real(np.einsum("pij,aji->pa", basis, images))
 
 
 def complex_coords(mat: np.ndarray) -> np.ndarray:

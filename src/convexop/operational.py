@@ -6,16 +6,18 @@ pairing with the order unit untouched; that normalization is what makes
 probabilities of later outcomes insensitive to earlier unread measurements.
 
 A :class:`MeasurementSpec` groups selective outcome maps under a
-non-selective parent.  :func:`predict`, :func:`update_state`, and
-:func:`run_sequence` chain these into sequential-outcome probabilities with
-optional post-selection.  :class:`EvolutionGroup` supplies one-parameter
-families of cone automorphisms (permutations of phase-space points, or
-unitary conjugation generated by a Hamiltonian).
+non-selective parent, by default their sum.  :func:`predict`,
+:func:`update_state`, and :func:`run_sequence` chain these into
+sequential-outcome probabilities with optional post-selection.
+:class:`EvolutionGroup` supplies one-parameter families of cone
+automorphisms (permutations of phase-space points, or unitary conjugation
+generated by a Hamiltonian).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hermitian import (
-    conjugation_matrix,
     coords_to_matrix,
+    kraus_matrix,
     matrix_to_coords,
     require_hermitian,
 )
@@ -45,7 +47,6 @@ from .spaces import (
 )
 
 SELECTIVITIES = ("selective", "nonselective")
-PROVENANCES = ("generic", "kraus", "permutation", "indicator", "unitary", "evolution")
 
 #: Outcome label wildcard: perform the measurement, discard the result.
 UNOBSERVED = "unobserved"
@@ -57,16 +58,15 @@ class OperationMap:
 
     ``matrix`` acts on storage coordinates.  ``selectivity`` records the
     intended role ("nonselective" maps must fix the order-unit pairing, see
-    :func:`is_nonselective`); ``provenance`` records how the map was built.
-    Neither flag is re-derived from the matrix at construction time; numeric
-    certification lives in :func:`is_nonselective`,
-    :func:`check_positivity_sampled`, and the model-specific checks.
+    :func:`is_nonselective`).  The flag is not re-derived from the matrix at
+    construction time; numeric certification lives in
+    :func:`is_nonselective`, :func:`check_positivity_sampled`, and the
+    model-specific checks.
     """
 
     space: ModelSpace
     matrix: np.ndarray
     selectivity: str = "selective"
-    provenance: str = "generic"
 
     def __post_init__(self) -> None:
         matrix = np.array(self.matrix, dtype=float)
@@ -78,22 +78,15 @@ class OperationMap:
             )
         if self.selectivity not in SELECTIVITIES:
             raise ValueError(f"unknown selectivity {self.selectivity!r}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
     def __repr__(self) -> str:
-        return (
-            f"OperationMap({self.space.space_id!r}, {self.selectivity}, "
-            f"{self.provenance})"
-        )
+        return f"OperationMap({self.space.space_id!r}, {self.selectivity})"
 
 
-def identity_operation(
-    space: ModelSpace, provenance: str = "generic"
-) -> OperationMap:
-    return OperationMap(space, np.eye(space.dim), "nonselective", provenance)
+def identity_operation(space: ModelSpace) -> OperationMap:
+    return OperationMap(space, np.eye(space.dim), "nonselective")
 
 
 def apply_operation(op: OperationMap, b: Element) -> Element:
@@ -133,26 +126,35 @@ def conditioned_probability(
     Ratio of ``<b2, M_A b1>`` to ``<b2, M_* b1>``.  A vanishing denominator
     means the post-selection is incompatible with the non-selective branch.
     """
-    denom = inner(b2, apply_operation(m_star, b1))
+    return _pairing_ratio(
+        b2, apply_operation(m_a, b1), apply_operation(m_star, b1), tol,
+        "post-selection is incompatible: the non-selective branch has "
+        "vanishing overlap with the final boundary condition",
+    )
+
+
+def _pairing_ratio(
+    b2: Element, selected: Element, reference: Element, tol: float, message: str
+) -> float:
+    """``<b2, selected> / <b2, reference>``; the denominator must not vanish."""
+    denom = inner(b2, reference)
     if denom <= scaled_tol(tol, b2.coords):
-        raise ZeroProbabilityError(
-            "post-selection is incompatible: the non-selective branch has "
-            "vanishing overlap with the final boundary condition"
-        )
-    return inner(b2, apply_operation(m_a, b1)) / denom
+        raise ZeroProbabilityError(message)
+    return inner(b2, selected) / denom
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSpec:
-    """Named selective outcome maps under one non-selective parent."""
+    """Selective outcome maps under a nonselective parent, by default their sum."""
 
     name: str
     outcomes: dict
-    parent: OperationMap
+    parent: OperationMap | None = None
 
     def __post_init__(self) -> None:
         if not self.outcomes:
             raise ValueError(f"measurement {self.name!r} has no outcomes")
+        space = (self.parent or next(iter(self.outcomes.values()))).space
         for label, op in self.outcomes.items():
             if not isinstance(label, str):
                 raise TypeError("outcome labels must be strings")
@@ -160,11 +162,14 @@ class MeasurementSpec:
                 raise ValueError(
                     f"outcome label {UNOBSERVED!r} is reserved for discarded results"
                 )
-            require_same_space(op.space, self.parent.space)
+            require_same_space(op.space, space)
             if op.selectivity != "selective":
                 raise ValueError(
                     f"outcome {label!r} of {self.name!r} must be flagged selective"
                 )
+        if self.parent is None:
+            parent = OperationMap(space, _outcome_sum(self.outcomes), "nonselective")
+            object.__setattr__(self, "parent", parent)
         if self.parent.selectivity != "nonselective":
             raise ValueError(
                 f"parent of measurement {self.name!r} must be flagged nonselective"
@@ -176,11 +181,15 @@ class MeasurementSpec:
         return self.parent.space
 
 
+def _outcome_sum(outcomes: dict) -> np.ndarray:
+    """``sum_a M_a``, added up in outcome order without stacking the maps."""
+    return reduce(np.add, [op.matrix for op in outcomes.values()])
+
+
 def completeness_gap(spec: MeasurementSpec, tol: float = DEFAULT_TOL) -> tuple:
     """Largest entry of ``|sum_a M_a - M_*|`` and the scaled tolerance it is
     judged against."""
-    summed = np.sum([op.matrix for op in spec.outcomes.values()], axis=0)
-    gap = float(np.abs(summed - spec.parent.matrix).max())
+    gap = float(np.abs(_outcome_sum(spec.outcomes) - spec.parent.matrix).max())
     return gap, scaled_tol(tol, spec.parent.matrix)
 
 
@@ -322,13 +331,19 @@ def _invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
-    """Image table of the time-``delta`` shift; ``delta`` must be an integer."""
+def _integer_steps(delta: float) -> int:
+    """The number of shifts a permutation evolution makes in time ``delta``."""
     steps = int(round(delta))
     if abs(delta - steps) > 1e-9:
         raise InvalidEvolutionError(
             f"permutation evolution needs integer steps, got {delta!r}"
         )
+    return steps
+
+
+def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
+    """Image table of the time-``delta`` shift; ``delta`` must be an integer."""
+    steps = _integer_steps(delta)
     result = np.arange(perm.size)
     base = perm if steps >= 0 else _invert_permutation(perm)
     steps = abs(steps)
@@ -367,8 +382,8 @@ def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
         matrix = np.zeros((group.space.dim, group.space.dim))
         matrix[image_of, np.arange(group.space.dim)] = 1.0
     else:
-        matrix = conjugation_matrix(propagator(group.hamiltonian, delta))
-    return OperationMap(group.space, matrix, "nonselective", "evolution")
+        matrix = kraus_matrix(propagator(group.hamiltonian, delta)[np.newaxis])
+    return OperationMap(group.space, matrix, "nonselective")
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +404,14 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class EvolveStep:
-    """Free evolution for a time ``delta`` between measurements."""
+    """Free evolution for a time ``delta``, an integer for a permutation group."""
 
     group: EvolutionGroup
     delta: float
+
+    def __post_init__(self) -> None:
+        if self.group.kind == "permutation":
+            _integer_steps(self.delta)
 
 
 @dataclass(frozen=True)
@@ -466,13 +485,11 @@ def run_sequence(
         probability *= p
         records.append(StepRecord(spec.name, step.outcome, p))
     if post_selection is not None:
-        denom = inner(post_selection, reference)
-        if denom <= scaled_tol(tol, post_selection.coords):
-            raise ZeroProbabilityError(
-                "post-selection has vanishing overlap with the non-selective "
-                "branch; the conditional probability is undefined"
-            )
-        factor = inner(post_selection, state) / denom
+        factor = _pairing_ratio(
+            post_selection, state, reference, tol,
+            "post-selection has vanishing overlap with the non-selective "
+            "branch; the conditional probability is undefined",
+        )
         probability *= factor
         records.append(StepRecord("post_selection", None, factor))
     return SequenceResult(probability, state, tuple(records))

@@ -30,20 +30,11 @@ from .spaces import (
     Element,
     ModelSpace,
     product_space,
+    same_space,
+    same_structure,
     sample_cone,
     scaled_tol,
 )
-
-
-def _same_structure(a: ModelSpace, b: ModelSpace) -> bool:
-    # same space up to the identifier (relabeled time slices match)
-    return (
-        a.dim == b.dim
-        and a.cone_kind == b.cone_kind
-        and a.psd_dim == b.psd_dim
-        and np.array_equal(a.metric, b.metric)
-        and np.array_equal(a.unit, b.unit)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +135,7 @@ def completeness_check(
         return False
     for p in outcomes:
         if len(p.boundary) != len(p_star.boundary) or not all(
-            a.space_id == b.space_id and _same_structure(a, b)
-            for a, b in zip(p.boundary, p_star.boundary)
+            same_space(a, b) for a, b in zip(p.boundary, p_star.boundary)
         ):
             raise SpaceMismatchError("all probes must share one boundary")
     total = np.sum([p.coeffs for p in outcomes], axis=0)
@@ -183,7 +173,7 @@ def compose(
     i = _shared_index(p, shared)
     j = _shared_index(q, shared)
     sp, sq = p.boundary[i], q.boundary[j]
-    if not _same_structure(sp, sq):
+    if not same_structure(sp, sq):
         raise SpaceMismatchError(
             f"shared factor {shared!r} differs structurally between the probes"
         )
@@ -235,13 +225,13 @@ def probe_to_map(p: ProbeFunctional) -> OperationMap:
             f"map form needs a two-factor boundary, got {len(p.boundary)} factors"
         )
     first, second = p.boundary
-    if not _same_structure(first, second):
+    if not same_structure(first, second):
         raise IncompatibleBoundaryError(
             "map form needs both boundary factors over the same space"
         )
     n = first.dim
     c = p.coeffs.reshape(n, n)
-    return OperationMap(first, c.T @ first.metric, "selective", "generic")
+    return OperationMap(first, c.T @ first.metric, "selective")
 
 
 def map_to_probe(

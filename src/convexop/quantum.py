@@ -30,10 +30,9 @@ from .errors import (
     ZeroStateError,
 )
 from .hermitian import (
-    conjugation_matrix,
     coords_to_matrix,
     hermitian_basis,
-    images_to_matrix,
+    kraus_matrix,
     matrix_to_coords,
     require_hermitian,
 )
@@ -190,9 +189,7 @@ def kraus_operation(
         selectivity = (
             "nonselective" if kraus_nonselective_check(kraus) else "selective"
         )
-    ops = np.stack(kraus.operators)
-    images = np.einsum("rij,ajk,rlk->ail", ops, hermitian_basis(d), ops.conj())
-    return OperationMap(space, images_to_matrix(images), selectivity, "kraus")
+    return OperationMap(space, kraus_matrix(np.stack(kraus.operators)), selectivity)
 
 
 class ChoiReport(NamedTuple):
@@ -293,11 +290,7 @@ def spectral_measurement(
         str(k): kraus_operation(space, KrausSet((p,)), "selective")
         for k, (_, p) in enumerate(pairs)
     }
-    parent = kraus_operation(
-        space, KrausSet(tuple(p for _, p in pairs)), "nonselective"
-    )
-    spec = MeasurementSpec(name=name, outcomes=outcomes, parent=parent)
-    return spec, decomposition
+    return MeasurementSpec(name=name, outcomes=outcomes), decomposition
 
 
 def _require_projector(p: np.ndarray, tol: float) -> np.ndarray:
@@ -375,7 +368,7 @@ def unitary_operation(space: ModelSpace, u: np.ndarray) -> OperationMap:
         raise UnsupportedSpaceError(f"unitary shape {u.shape} does not fit size {d}")
     if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
-    return OperationMap(space, conjugation_matrix(u), "nonselective", "unitary")
+    return OperationMap(space, kraus_matrix(u[np.newaxis]), "nonselective")
 
 
 def _rk4(f, y, t: float, dt: float):

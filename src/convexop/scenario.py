@@ -22,7 +22,7 @@ Measurement forms
 ``subset``          list of point indices; outcomes "in"/"out" (classical).
 
 Without an explicit ``parent`` the parent operation is the sum of the
-outcome maps (for ``subset`` it is the identity).
+outcome maps.  A quantum ``model.d`` may be at most :data:`MAX_QUANTUM_DIM`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .classical import (
 )
 from .errors import (
     ConvexOpError,
+    InvalidEvolutionError,
     ScenarioSchemaError,
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -77,6 +78,9 @@ from .spaces import (
     scaled_tol,
     unit_element,
 )
+
+#: Largest quantum ``model.d``, checked before any allocation: maps take d**4 floats.
+MAX_QUANTUM_DIM = 16
 
 # ---------------------------------------------------------------------------
 # schema (shape and type only; semantics live in bind_scenario)
@@ -502,6 +506,7 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
             return indicator_measurement(space, payload["subset"], name=name)
         except ValueError as exc:
             raise ScenarioValidationError(f"{where}.subset: {exc}") from exc
+    parent = None
     if "coords_matrix" in payload:
         n = space.dim
         table = {
@@ -509,17 +514,15 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
                 space,
                 _square(rows, n, f"{where}.coords_matrix[{label!r}]", _to_real_matrix),
                 "selective",
-                "generic",
             )
             for label, rows in payload["coords_matrix"].items()
         }
         if "parent" in payload:
-            parent_mat = _square(
-                payload["parent"], n, f"{where}.parent", _to_real_matrix
+            parent = OperationMap(
+                space,
+                _square(payload["parent"], n, f"{where}.parent", _to_real_matrix),
+                "nonselective",
             )
-        else:
-            parent_mat = np.sum([op.matrix for op in table.values()], axis=0)
-        parent = OperationMap(space, parent_mat, "nonselective", "generic")
     else:
         if kind != "quantum":
             raise ScenarioValidationError(
@@ -543,12 +546,6 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
                     )
                 operators.append(k)
             table[label] = kraus_operation(space, KrausSet(tuple(operators)), "selective")
-        parent = OperationMap(
-            space,
-            np.sum([op.matrix for op in table.values()], axis=0),
-            "nonselective",
-            "kraus",
-        )
     try:
         return MeasurementSpec(name=name, outcomes=table, parent=parent)
     except (ValueError, TypeError) as exc:
@@ -561,8 +558,10 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
     kind = model["kind"]
     if kind == "quantum":
         d = model["d"]
-        if d < 1:
-            raise ScenarioValidationError("model.d: dimension must be positive")
+        if not 1 <= d <= MAX_QUANTUM_DIM:
+            raise ScenarioValidationError(
+                f"model.d: expected 1 to {MAX_QUANTUM_DIM}, got {d}"
+            )
         space = make_quantum_space(d)
     else:
         n = model["n"]
@@ -591,7 +590,10 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
                 raise ScenarioValidationError(
                     f"{where}.evolve: the document declares no evolution"
                 )
-            steps.append(EvolveStep(group, float(raw["evolve"]["delta"])))
+            try:
+                steps.append(EvolveStep(group, float(raw["evolve"]["delta"])))
+            except InvalidEvolutionError as exc:
+                raise ScenarioValidationError(f"{where}.evolve.delta: {exc}") from exc
             continue
         payload = raw["measure"]
         spec = _bind_measure(space, kind, payload, f"{where}.measure")

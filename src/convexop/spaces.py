@@ -163,18 +163,20 @@ class Element:
         return f"Element({self.space.space_id!r}, {np.array2string(self.coords, precision=6)})"
 
 
-def same_space(a: ModelSpace, b: ModelSpace) -> bool:
-    """Whether two space values describe the same space, identifier included."""
-    if a is b:
-        return True
+def same_structure(a: ModelSpace, b: ModelSpace) -> bool:
+    """Whether two spaces agree up to the identifier (relabeled time slices do)."""
     return (
-        a.space_id == b.space_id
-        and a.dim == b.dim
+        a.dim == b.dim
         and a.cone_kind == b.cone_kind
         and a.psd_dim == b.psd_dim
         and np.array_equal(a.metric, b.metric)
         and np.array_equal(a.unit, b.unit)
     )
+
+
+def same_space(a: ModelSpace, b: ModelSpace) -> bool:
+    """Whether two space values describe the same space, identifier included."""
+    return a is b or (a.space_id == b.space_id and same_structure(a, b))
 
 
 def require_same_space(a: ModelSpace, b: ModelSpace) -> None:

@@ -206,3 +206,28 @@ def test_non_utf8_file_is_exit_2(verb, tmp_path, capsys):
     bad.write_bytes(b"model: {kind: quantum, d: 2}\n# caf\xff\n")
     assert run_main(verb, bad) == 2
     assert capsys.readouterr().err == "error: not UTF-8 text: byte 0xff at offset 34\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_fractional_permutation_step_is_exit_3(verb, tmp_path, capsys):
+    doc = tmp_path / "half.yaml"
+    doc.write_text(
+        "model: {kind: classical, n: 2, mu: [1, 1]}\n"
+        "initial: {values: [1, 0]}\n"
+        "evolution: {permutation: [[0, 1]]}\n"
+        "steps: [{evolve: {delta: 0.5}}]\n"
+    )
+    assert run_main(verb, doc) == 3
+    assert capsys.readouterr().err == (
+        "error: steps[0].evolve.delta: permutation evolution needs integer "
+        "steps, got 0.5\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("d", [17, 100000000000])
+def test_oversized_quantum_dimension_is_exit_3(verb, d, tmp_path, capsys):
+    doc = tmp_path / "huge.yaml"
+    doc.write_text(f"model: {{kind: quantum, d: {d}}}\ninitial: {{pure: [1]}}\nsteps: []\n")
+    assert run_main(verb, doc) == 3
+    assert capsys.readouterr().err == f"error: model.d: expected 1 to 16, got {d}\n"

@@ -7,6 +7,7 @@ from convexop.classical import PhaseSpace, indicator_measurement, make_classical
 from convexop.errors import (
     InvalidEvolutionError,
     NotNormalizedError,
+    SpaceMismatchError,
     UnknownOutcomeError,
     ZeroProbabilityError,
 )
@@ -20,6 +21,7 @@ from convexop.operational import (
     OperationMap,
     apply_operation,
     check_positivity_sampled,
+    completeness_gap,
     conditioned_probability,
     evolution_operation,
     evolve,
@@ -313,3 +315,31 @@ def test_check_positivity_sampled_accepts_and_rejects():
     assert check_positivity_sampled(identity_operation(space), rng, samples=50)
     sign_flip = OperationMap(space, np.diag([1.0, -1.0]))
     assert not check_positivity_sampled(sign_flip, rng, samples=50)
+
+
+def test_measurement_parent_defaults_to_outcome_sum():
+    space = uniform(3)
+    rng = np.random.default_rng(31)
+    ops = {k: OperationMap(space, rng.uniform(size=(3, 3)), "selective") for k in "abc"}
+    spec = MeasurementSpec("m", ops)
+    assert spec.parent.selectivity == "nonselective"
+    assert np.array_equal(
+        spec.parent.matrix, ops["a"].matrix + ops["b"].matrix + ops["c"].matrix
+    )
+    assert completeness_gap(spec)[0] == 0.0
+
+
+def test_measurement_outcome_in_other_space_is_rejected():
+    # the default parent is built only after every outcome is checked, so
+    # outcomes of different sizes give a space error, not a numpy one
+    small = OperationMap(uniform(2), np.diag([1.0, 0.0]), "selective")
+    large = OperationMap(uniform(3), np.diag([0.0, 1.0, 1.0]), "selective")
+    with pytest.raises(SpaceMismatchError):
+        MeasurementSpec("m", {"a": small, "b": large})
+
+
+def test_evolve_step_rejects_fractional_permutation_time():
+    group = EvolutionGroup(uniform(2), "permutation", permutation=(1, 0))
+    with pytest.raises(InvalidEvolutionError, match="integer steps, got 0.5"):
+        EvolveStep(group, 0.5)
+    assert EvolveStep(group, 2.0).delta == 2.0

@@ -38,7 +38,7 @@ from convexop.quantum import (
     unitary_operation,
 )
 from convexop.spaces import Element, inner, unit_element
-from convexop.operational import evolve
+from convexop.operational import evolution_operation, evolve, propagator
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -289,3 +289,15 @@ def test_integrator_rejects_bad_steps():
         liouville_integrate(PAULI_Z, b, 1.0, dt=0.0)
     with pytest.raises(ValueError):
         liouville_integrate(PAULI_Z, b, -1.0)
+
+
+def test_unitary_and_evolution_maps_are_one_operator_kraus_maps():
+    rng = np.random.default_rng(41)
+    space = make_quantum_space(3)
+    u = random_unitary(3, rng)
+    single = kraus_operation(space, KrausSet((u,))).matrix
+    assert np.abs(unitary_operation(space, u).matrix - single).max() < 1e-12
+    h = random_hermitian(3, rng)
+    step = kraus_operation(space, KrausSet((propagator(h, 0.6),))).matrix
+    group = hamiltonian_evolution(h, space)
+    assert np.abs(evolution_operation(group, 0.6).matrix - step).max() < 1e-12

@@ -9,6 +9,7 @@ from convexop.errors import (
     ScenarioValidationError,
     ZeroProbabilityError,
 )
+from convexop.operational import completeness_gap
 from convexop.scenario import (
     bind_scenario,
     parse_scenario_text,
@@ -348,3 +349,32 @@ def test_report_rendering_is_deterministic():
     assert first.startswith('{\n  "probability": 0.49999999999999')
     for key in ('"per_step"', '"final_state"', '"validation"'):
         assert key in first
+
+
+@pytest.mark.parametrize(
+    "model, initial, form",
+    [
+        ("{kind: quantum, d: 3}", "{pure: [1, 0, 0]}",
+         "observable: [[1, 0.3, 0], [0.3, 2, 0.7], [0, 0.7, 2.5]]"),
+        ("{kind: quantum, d: 3}", "{pure: [1, 0, 0]}",
+         "observable: [[2, 0, 0], [0, 1, 0.5], [0, 0.5, 1]]"),
+        ("{kind: classical, n: 3, mu: [1, 2, 1]}", "{values: [1, 1, 1]}",
+         "subset: [0, 2]"),
+        ("{kind: quantum, d: 2}", "{pure: [1, 0]}",
+         "projectors: {up: [[0.5, 0.5], [0.5, 0.5]], down: [[0.5, -0.5], [-0.5, 0.5]]}"),
+        ("{kind: quantum, d: 2}", "{pure: [1, 0]}",
+         "kraus: {stay: [[[1, 0], [0, 0.6]]], decay: [[[0, 0.8], [0, 0]]]}"),
+        ("{kind: classical, n: 2, mu: [1, 1]}", "{values: [1, 1]}",
+         "coords_matrix: {a: [[0.3, 0.1], [0.7, 0.2]], b: [[0.7, 0.9], [0.3, 0.8]]}"),
+    ],
+    ids=["observable", "degenerate", "subset", "projectors", "kraus", "coords_matrix"],
+)
+def test_parent_is_the_exact_sum_of_outcomes(model, initial, form):
+    text = (
+        f"model: {model}\ninitial: {initial}\n"
+        f"steps: [{{measure: {{name: m, outcome: unobserved, {form}}}}}]\n"
+    )
+    spec = bind_scenario(parse_scenario_text(text)).steps[0].spec
+    summed = sum(op.matrix for op in spec.outcomes.values())
+    assert np.array_equal(spec.parent.matrix, summed)
+    assert completeness_gap(spec)[0] == 0.0
