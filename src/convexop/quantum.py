@@ -30,8 +30,8 @@ from .errors import (
     ZeroStateError,
 )
 from .hermitian import (
+    basis_expand,
     coords_to_matrix,
-    hermitian_basis,
     kraus_matrix,
     matrix_to_coords,
     require_hermitian,
@@ -207,19 +207,19 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
     positive exactly when that matrix is positive semidefinite.
     """
     d = _require_psd_space(op.space)
-    basis = hermitian_basis(d)
-    # image of each storage basis element under the map
-    images = np.einsum("pa,pij->aij", op.matrix, basis)
-    # unit_images[i, j] = image of the matrix unit E_ij, using the complex
+    # images[i, j, a]: the image of each storage basis element B_a
+    images = basis_expand(op.matrix)
+    # units[j, i] = image of the matrix unit E_ij, using the complex
     # expansion E_ij = sum_a B_a[j, i] B_a
-    unit_images = np.einsum("aji,amn->ijmn", basis, images)
-    choi = unit_images.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    herm_defect = float(np.abs(choi - choi.conj().T).max())
+    units = basis_expand(images.reshape(d * d, d * d).T).reshape(d, d, d, d)
+    choi = units.transpose(2, 1, 3, 0).reshape(d * d, d * d)
+    adjoint = choi.conj().T
+    herm_defect = float(np.abs(choi - adjoint).max())
     if herm_defect > 1e-10 * max(1.0, float(np.abs(choi).max())):
         raise ValueError(
             "map does not preserve Hermiticity; Choi matrix is not Hermitian"
         )
-    choi = (choi + choi.conj().T) / 2.0
+    choi = (choi + adjoint) / 2.0
     min_eig = float(np.linalg.eigvalsh(choi).min())
     return ChoiReport(choi, bool(min_eig >= -tol), min_eig)
 

@@ -303,9 +303,32 @@ class ScenarioDoc:
     seed: int | None = None
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe YAML loading, through libyaml where PyYAML has it, that rejects
+    a key repeated in one mapping instead of keeping its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                duplicate = key in seen
+                seen.add(key)
+            except TypeError:  # unhashable: the base constructor reports it
+                continue
+            if duplicate:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"found duplicate key {key!r}",
+                    problem_mark=key_node.start_mark,
+                )
+        return super().construct_mapping(node, deep=deep)
+
+
 def _load_yaml(text: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "malformed document"
