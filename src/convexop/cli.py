@@ -8,14 +8,16 @@ Subcommands
                         are incomparable, print the two-lower-bounds witness
 ``version``             print the package version
 
-Exit codes: 0 success, 2 unreadable or malformed input (syntax, schema,
-unknown flags), 3 semantically invalid input or failed validation checks,
-4 conditioning on a zero-probability outcome, 5 internal error.
+Exit codes: 0 success, 1 standard output closed before the report was
+written, 2 unreadable or malformed input (syntax, schema, unknown flags),
+3 semantically invalid input or failed validation checks, 4 conditioning on
+a zero-probability outcome, 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -40,6 +42,7 @@ from .scenario import (
 from .spaces import DEFAULT_TOL, cone_margin
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_INVALID = 3
 EXIT_CONDITIONING = 4
@@ -168,7 +171,13 @@ def main(argv=None) -> int:
     if getattr(args, "report", None) and files is not None and len(files) > 1:
         parser.error("--report requires a single input file")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: drop what is left, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     except (ScenarioSyntaxError, ScenarioSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

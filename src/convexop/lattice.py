@@ -166,25 +166,14 @@ def _dominator_search(a, b, c1, c2, tol, grid_step):
     x, y, z = x.ravel(), y.ravel(), z.ravel()
 
     ok = np.ones(x.size, dtype=bool)
-    for upper in (a, b):
-        # upper - C must stay psd
+    # upper - C and C - lower must stay psd: sign * (bound - C) for each bound
+    for bound, sign in ((a, 1.0), (b, 1.0), (c1, -1.0), (c2, -1.0)):
         ok &= (
             _eigmin_grid(
-                np.real(upper[0, 0]) - x,
-                np.real(upper[1, 1]) - y,
-                np.real(upper[0, 1]) - z,
-                np.imag(upper[0, 1]) * np.ones_like(z),
-            )
-            >= -tol
-        )
-    for lower in (c1, c2):
-        # C - lower must stay psd
-        ok &= (
-            _eigmin_grid(
-                x - np.real(lower[0, 0]),
-                y - np.real(lower[1, 1]),
-                z - np.real(lower[0, 1]),
-                -np.imag(lower[0, 1]) * np.ones_like(z),
+                sign * (np.real(bound[0, 0]) - x),
+                sign * (np.real(bound[1, 1]) - y),
+                sign * (np.real(bound[0, 1]) - z),
+                sign * np.imag(bound[0, 1]) * np.ones_like(z),
             )
             >= -tol
         )

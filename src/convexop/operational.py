@@ -16,8 +16,8 @@ generated by a Hamiltonian).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -278,13 +278,15 @@ class EvolutionGroup:
 
     ``kind`` is ``"permutation"`` (discrete; ``permutation[i]`` is the image
     point of ``i``, integer time steps only) or ``"hamiltonian"`` (continuous;
-    unitary conjugation generated by a Hermitian matrix).
+    unitary conjugation by ``v diag(exp(-i delta w)) v^dagger``, where the
+    eigenpairs ``spectrum = (w, v)`` of the Hermitian generator are computed once).
     """
 
     space: ModelSpace
     kind: str
     permutation: np.ndarray | None = None
     hamiltonian: np.ndarray | None = None
+    spectrum: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "permutation":
@@ -319,16 +321,13 @@ class EvolutionGroup:
                     "hamiltonian size does not match the psd space"
                 )
             h = h.copy()
-            h.setflags(write=False)
+            spectrum = np.linalg.eigh(h)
+            for array in (h, *spectrum):
+                array.setflags(write=False)
             object.__setattr__(self, "hamiltonian", h)
+            object.__setattr__(self, "spectrum", tuple(spectrum))
         else:
             raise ValueError(f"unknown evolution kind {self.kind!r}")
-
-
-def _invert_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
 
 
 def _integer_steps(delta: float) -> int:
@@ -345,7 +344,7 @@ def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
     """Image table of the time-``delta`` shift; ``delta`` must be an integer."""
     steps = _integer_steps(delta)
     result = np.arange(perm.size)
-    base = perm if steps >= 0 else _invert_permutation(perm)
+    base = perm if steps >= 0 else np.argsort(perm)
     steps = abs(steps)
     while steps:
         if steps & 1:
@@ -355,34 +354,47 @@ def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
     return result
 
 
+def _unitary(w: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
+    """``exp(-i * delta * H)`` from the eigenpairs ``(w, v)`` of ``H``."""
+    return (v * np.exp(-1j * delta * w)) @ v.conj().T
+
+
 def propagator(hamiltonian: np.ndarray, delta: float) -> np.ndarray:
     """Unitary ``exp(-i * delta * H)`` via Hermitian eigendecomposition."""
-    h = require_hermitian(hamiltonian)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * delta * w)) @ v.conj().T
+    return _unitary(*np.linalg.eigh(require_hermitian(hamiltonian)), delta)
+
+
+def _member(group: EvolutionGroup, delta: float) -> np.ndarray:
+    """The time-``delta`` member: an image table or a unitary."""
+    if group.kind == "permutation":
+        return _permutation_power(group.permutation, delta)
+    return _unitary(*group.spectrum, delta)
+
+
+def _apply_member(group: EvolutionGroup, member: np.ndarray, b: Element) -> Element:
+    require_same_space(group.space, b.space)
+    if group.kind == "permutation":
+        out = np.empty_like(b.coords)
+        out[member] = b.coords
+        return Element(b.space, out)
+    mat = coords_to_matrix(b.coords)
+    return Element(b.space, matrix_to_coords(member @ mat @ member.conj().T))
 
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
     """Apply the time-``delta`` member of the group to an element."""
     require_same_space(group.space, b.space)
-    if group.kind == "permutation":
-        image_of = _permutation_power(group.permutation, delta)
-        out = np.empty_like(b.coords)
-        out[image_of] = b.coords
-        return Element(b.space, out)
-    u = propagator(group.hamiltonian, delta)
-    mat = coords_to_matrix(b.coords)
-    return Element(b.space, matrix_to_coords(u @ mat @ u.conj().T))
+    return _apply_member(group, _member(group, delta), b)
 
 
 def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
     """The time-``delta`` member of the group as an explicit operation map."""
+    member = _member(group, delta)
     if group.kind == "permutation":
-        image_of = _permutation_power(group.permutation, delta)
         matrix = np.zeros((group.space.dim, group.space.dim))
-        matrix[image_of, np.arange(group.space.dim)] = 1.0
+        matrix[member, np.arange(group.space.dim)] = 1.0
     else:
-        matrix = kraus_matrix(propagator(group.hamiltonian, delta)[np.newaxis])
+        matrix = kraus_matrix(member[np.newaxis])
     return OperationMap(group.space, matrix, "nonselective")
 
 
@@ -461,29 +473,27 @@ def run_sequence(
     records = []
     for raw in steps:
         step = _coerce_step(raw)
+        # the step unread, built once: the reference always takes it
         if isinstance(step, EvolveStep):
-            state = evolve(step.group, step.delta, state)
-            if reference is not None:
-                reference = evolve(step.group, step.delta, reference)
-            records.append(StepRecord("evolve", None, 1.0))
-            continue
-        spec = step.spec
-        if step.outcome is None:
-            state = apply_operation(spec.parent, state)
-            if reference is not None:
-                reference = apply_operation(spec.parent, reference)
-            records.append(StepRecord(spec.name, UNOBSERVED, 1.0))
-            continue
-        image, p = _branch(state, spec, step.outcome, tol)
-        state = _condition(
-            state, image, p, tol,
-            f"outcome {step.outcome!r} of measurement {spec.name!r} has "
-            "probability zero; cannot condition on it",
-        )
+            move = partial(_apply_member, step.group, _member(step.group, step.delta))
+            outcome, record = None, StepRecord("evolve", None, 1.0)
+        else:
+            move = partial(apply_operation, step.spec.parent)
+            outcome, record = step.outcome, StepRecord(step.spec.name, UNOBSERVED, 1.0)
+        if outcome is None:
+            state = move(state)
+        else:
+            image, p = _branch(state, step.spec, outcome, tol)
+            state = _condition(
+                state, image, p, tol,
+                f"outcome {outcome!r} of measurement {step.spec.name!r} has "
+                "probability zero; cannot condition on it",
+            )
+            probability *= p
+            record = StepRecord(step.spec.name, outcome, p)
         if reference is not None:
-            reference = apply_operation(spec.parent, reference)
-        probability *= p
-        records.append(StepRecord(spec.name, step.outcome, p))
+            reference = move(reference)
+        records.append(record)
     if post_selection is not None:
         factor = _pairing_ratio(
             post_selection, state, reference, tol,

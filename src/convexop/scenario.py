@@ -429,7 +429,6 @@ class BoundScenario:
     steps: tuple
     post_selection: Element | None
     group: object
-    quantum_ops: tuple  # (target label, OperationMap) pairs for cp checks
 
 
 def _bind_state(space, kind: str, payload: dict, where: str) -> Element:
@@ -605,7 +604,6 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
         group = _bind_evolution(space, kind, doc.evolution)
 
     steps = []
-    quantum_ops = []
     for k, raw in enumerate(doc.steps):
         where = f"steps[{k}]"
         if "evolve" in raw:
@@ -627,10 +625,6 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
                 f"{sorted(spec.outcomes)} or {UNOBSERVED!r}"
             )
         steps.append(MeasureStep(spec, outcome))
-        if kind == "quantum":
-            for label, op in spec.outcomes.items():
-                quantum_ops.append((f"{spec.name}:{label}", op))
-            quantum_ops.append((f"{spec.name}:parent", spec.parent))
 
     post = None
     if doc.post_selection is not None:
@@ -644,7 +638,6 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
         steps=tuple(steps),
         post_selection=post,
         group=group,
-        quantum_ops=tuple(quantum_ops),
     )
 
 
@@ -690,12 +683,10 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
             f"order-unit pairing {total:.6e}",
         )
     )
-    seen = set()
-    for step in bound.steps:
-        if not isinstance(step, MeasureStep) or id(step.spec) in seen:
-            continue
-        seen.add(id(step.spec))
-        spec = step.spec
+    specs = list({
+        id(step.spec): step.spec for step in bound.steps if isinstance(step, MeasureStep)
+    }.values())
+    for spec in specs:
         for check, (defect, limit), what in (
             ("completeness", completeness_gap(spec, tol), "max deviation"),
             ("causality", order_unit_defect(spec.parent, tol), "order-unit defect"),
@@ -703,16 +694,14 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
             checks.append(
                 CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
             )
-    for target, op in bound.quantum_ops:
-        report = choi_cp_check(op, tol)
-        checks.append(
-            CheckResult(
-                "complete_positivity",
-                target,
-                report.is_cp,
+    for spec in specs if bound.kind == "quantum" else []:
+        # the outcomes in order, then the parent: the goldens pin this order
+        for label, op in (*spec.outcomes.items(), ("parent", spec.parent)):
+            report = choi_cp_check(op, tol)
+            checks.append(CheckResult(
+                "complete_positivity", f"{spec.name}:{label}", report.is_cp,
                 f"min Choi eigenvalue {report.min_eigenvalue:.6e}",
-            )
-        )
+            ))
     if bound.post_selection is not None:
         checks.append(_cone_check(bound.post_selection, "post_selection", tol))
     return tuple(checks)

@@ -90,8 +90,11 @@ class ModelSpace:
         scale = max(1.0, float(np.abs(metric).max()))
         if np.abs(metric - metric.T).max() > 1e-12 * scale:
             raise ValueError("metric must be symmetric")
-        if float(np.linalg.eigvalsh(metric).min()) <= 0.0:
-            raise ValueError("metric must be positive definite")
+        try:  # the factor exists iff positive definite, but LAPACK passes a NaN
+            if np.isnan(np.linalg.cholesky(metric)).any():
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise ValueError("metric must be positive definite") from None
         if self.cone_kind == "componentwise":
             if self.psd_dim is not None:
                 raise ValueError("psd_dim only applies to the psd cone kind")

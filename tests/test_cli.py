@@ -1,6 +1,7 @@
 """Command line behavior: verbs, exit codes, deterministic reports."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -231,3 +232,56 @@ def test_oversized_quantum_dimension_is_exit_3(verb, d, tmp_path, capsys):
     doc.write_text(f"model: {{kind: quantum, d: {d}}}\ninitial: {{pure: [1]}}\nsteps: []\n")
     assert run_main(verb, doc) == 3
     assert capsys.readouterr().err == f"error: model.d: expected 1 to 16, got {d}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("verb", ["run", "validate", "version"])
+def test_closed_stdout_is_exit_1_without_error_line(verb, unbuffered):
+    # the reader is gone before the first byte is written; buffered output
+    # fails at the flush, unbuffered output at the first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    args = [] if verb == "version" else [str(SCENARIOS / "quantum_zx.yaml")]
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "convexop", verb, *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
+
+
+EVOLVE_DOC = (
+    "model: {{kind: quantum, d: 2}}\n"
+    "initial: {{pure: [1, 0]}}\n"
+    "evolution: {{hamiltonian: [[0, 1], [1, 0]]}}\n"
+    "steps: [{{evolve: {{delta: {delta}}}}}]\n"
+)
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("delta", ["1e-3", "1.0e3"])
+def test_exponent_without_dot_and_sign_is_a_string(verb, delta, tmp_path, capsys):
+    # YAML 1.1 resolves a float only with a dot and a signed exponent
+    doc = tmp_path / "evolve.yaml"
+    doc.write_text(EVOLVE_DOC.format(delta=delta))
+    assert run_main(verb, doc) == 2
+    assert capsys.readouterr().err == (
+        "error: steps[0].evolve.delta: expected a real number\n"
+    )
+
+
+@pytest.mark.parametrize("delta", ["1.0e-3", "1.0e+3"])
+def test_exponent_with_dot_and_sign_is_a_real(delta, tmp_path, capsys):
+    doc = tmp_path / "evolve.yaml"
+    doc.write_text(EVOLVE_DOC.format(delta=delta))
+    assert run_main("run", doc) == 0
+    assert json.loads(capsys.readouterr().out)["probability"] == 1.0
