@@ -42,11 +42,11 @@ class PhaseSpace:
 
 
 def make_classical_space(ps: PhaseSpace, space_id: str = "classical") -> ModelSpace:
-    """Model space of a phase space: diagonal metric, componentwise cone."""
+    """Model space of a phase space: the measure as weights, componentwise cone."""
     return ModelSpace(
         space_id=space_id,
         dim=ps.n,
-        metric=np.diag(ps.mu),
+        metric=ps.mu,
         cone_kind="componentwise",
         unit=np.ones(ps.n),
     )
@@ -72,6 +72,7 @@ def indicator_measurement(
     Outcome ``"in"`` multiplies by the indicator of the subset, outcome
     ``"out"`` by the indicator of the complement.  Reading neither changes
     nothing: the parent operation, the sum of the two, is the identity.
+    All three maps are held as diagonals, so they cost ``O(n)``.
     """
     if space.cone_kind != "componentwise":
         raise UnsupportedSpaceError("indicator measurements need a classical space")
@@ -83,8 +84,8 @@ def indicator_measurement(
     return MeasurementSpec(
         name=name,
         outcomes={
-            "in": OperationMap(space, np.diag(chi), "selective"),
-            "out": OperationMap(space, np.diag(1.0 - chi), "selective"),
+            "in": OperationMap(space, chi, "selective"),
+            "out": OperationMap(space, 1.0 - chi, "selective"),
         },
     )
 

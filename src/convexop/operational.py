@@ -17,7 +17,7 @@ generated by a Hamiltonian).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hermitian import (
+    complex_coords,
     coords_to_matrix,
     kraus_matrix,
-    matrix_to_coords,
     require_hermitian,
 )
 from .spaces import (
@@ -52,57 +52,93 @@ SELECTIVITIES = ("selective", "nonselective")
 UNOBSERVED = "unobserved"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OperationMap:
     """A linear cone-preserving map on one model space.
 
-    ``matrix`` acts on storage coordinates.  ``selectivity`` records the
-    intended role ("nonselective" maps must fix the order-unit pairing, see
-    :func:`is_nonselective`).  The flag is not re-derived from the matrix at
-    construction time; numeric certification lives in
-    :func:`is_nonselective`, :func:`check_positivity_sampled`, and the
-    model-specific checks.
+    ``matrix`` acts on storage coordinates: a ``dim x dim`` array, or a
+    vector of ``dim`` entries for a diagonal map, which is then held and
+    applied as that vector in ``O(dim)``; reading :attr:`matrix` builds its
+    dense form.  ``selectivity`` records the intended role ("nonselective"
+    maps must fix the order-unit pairing, see :func:`is_nonselective`).  The
+    flag is not re-derived from the matrix at construction time; numeric
+    certification lives in :func:`is_nonselective`,
+    :func:`check_positivity_sampled`, and the model-specific checks.
     """
 
     space: ModelSpace
-    matrix: np.ndarray
+    _entries: np.ndarray
     selectivity: str = "selective"
 
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=float)
-        n = self.space.dim
-        if matrix.shape != (n, n):
+    def __init__(
+        self, space: ModelSpace, matrix, selectivity: str = "selective"
+    ) -> None:
+        entries = np.array(matrix, dtype=float)
+        n = space.dim
+        if entries.shape not in ((n,), (n, n)):
             raise SpaceMismatchError(
-                f"operation matrix shape {matrix.shape} does not fit space "
-                f"{self.space.space_id!r} of dimension {n}"
+                f"operation matrix shape {entries.shape} does not fit space "
+                f"{space.space_id!r} of dimension {n}"
             )
-        if self.selectivity not in SELECTIVITIES:
-            raise ValueError(f"unknown selectivity {self.selectivity!r}")
+        if selectivity not in SELECTIVITIES:
+            raise ValueError(f"unknown selectivity {selectivity!r}")
+        entries.setflags(write=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "selectivity", selectivity)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense ``dim x dim`` matrix of the map, read-only."""
+        if self._entries.ndim == 2:
+            return self._entries
+        matrix = np.diag(self._entries)
         matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     def __repr__(self) -> str:
         return f"OperationMap({self.space.space_id!r}, {self.selectivity})"
 
 
+def _act(op: OperationMap, coords: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``M x``, or ``M^T x``, on storage coordinates.
+
+    A diagonal map multiplies entrywise, which gives the same bits as the
+    product with its dense matrix: each row has one nonzero term.
+    """
+    entries = op._entries
+    if entries.ndim == 1:
+        return entries * coords
+    return (entries.T if transpose else entries) @ coords
+
+
+def _same_form(ops) -> list:
+    """The maps' diagonals if every one is diagonal, else their dense matrices."""
+    ops = list(ops)
+    if all(op._entries.ndim == 1 for op in ops):
+        return [op._entries for op in ops]
+    return [op.matrix for op in ops]
+
+
 def identity_operation(space: ModelSpace) -> OperationMap:
-    return OperationMap(space, np.eye(space.dim), "nonselective")
+    return OperationMap(space, np.ones(space.dim), "nonselective")
 
 
 def apply_operation(op: OperationMap, b: Element) -> Element:
     require_same_space(op.space, b.space)
-    return Element(b.space, op.matrix @ b.coords)
+    return Element(b.space, _act(op, b.coords))
 
 
 def order_unit_defect(op: OperationMap, tol: float = DEFAULT_TOL) -> tuple:
     """How far the adjoint of the map is from fixing the order unit.
 
-    Returns the largest entry of ``|M^T g - g|`` for ``g = metric @ unit``,
-    the matrix form of requiring the pairing with ``e`` to be preserved on
-    every element, and the scaled tolerance it is judged against.
+    Returns the largest entry of ``|M^T g - g|`` for ``g = weights * unit``
+    (the metric applied to the unit), the matrix form of requiring the
+    pairing with ``e`` to be preserved on every element, and the scaled
+    tolerance it is judged against.
     """
-    g = op.space.metric @ op.space.unit
-    return float(np.abs(op.matrix.T @ g - g).max()), scaled_tol(tol, g)
+    g = op.space.weights * op.space.unit
+    return float(np.abs(_act(op, g, transpose=True) - g).max()), scaled_tol(tol, g)
 
 
 def is_nonselective(op: OperationMap, tol: float = DEFAULT_TOL) -> bool:
@@ -182,15 +218,18 @@ class MeasurementSpec:
 
 
 def _outcome_sum(outcomes: dict) -> np.ndarray:
-    """``sum_a M_a``, added up in outcome order without stacking the maps."""
-    return reduce(np.add, [op.matrix for op in outcomes.values()])
+    """``sum_a M_a``, added up in outcome order without stacking the maps; a
+    diagonal when every outcome is one."""
+    return reduce(np.add, _same_form(outcomes.values()))
 
 
 def completeness_gap(spec: MeasurementSpec, tol: float = DEFAULT_TOL) -> tuple:
     """Largest entry of ``|sum_a M_a - M_*|`` and the scaled tolerance it is
-    judged against."""
-    gap = float(np.abs(_outcome_sum(spec.outcomes) - spec.parent.matrix).max())
-    return gap, scaled_tol(tol, spec.parent.matrix)
+    judged against.  On diagonal maps only the diagonals are compared: the
+    zeros off the diagonal add nothing to either maximum."""
+    *outcomes, parent = _same_form([*spec.outcomes.values(), spec.parent])
+    gap = float(np.abs(reduce(np.add, outcomes) - parent).max())
+    return gap, scaled_tol(tol, parent)
 
 
 def measurement_defects(
@@ -303,8 +342,8 @@ class EvolutionGroup:
                     f"0..{self.space.dim - 1}"
                 )
             # the pairing with the order unit must survive the shift, which
-            # for g = metric @ unit means g is constant on every orbit
-            g = self.space.metric @ self.space.unit
+            # for g = weights * unit means g is constant on every orbit
+            g = self.space.weights * self.space.unit
             drift = float(np.abs(g[perm] - g).max())
             if drift > 1e-12 * max(1.0, float(np.abs(g).max())):
                 raise InvalidEvolutionError(
@@ -378,7 +417,8 @@ def _apply_member(group: EvolutionGroup, member: np.ndarray, b: Element) -> Elem
         out[member] = b.coords
         return Element(b.space, out)
     mat = coords_to_matrix(b.coords)
-    return Element(b.space, matrix_to_coords(member @ mat @ member.conj().T))
+    # conjugation keeps the matrix Hermitian, so no Hermiticity check
+    return Element(b.space, np.real(complex_coords(member @ mat @ member.conj().T)))
 
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:

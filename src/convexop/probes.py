@@ -7,8 +7,9 @@ operation maps, and gluing two probes along a shared factor reproduces the
 composition of the underlying maps.
 
 Coefficients are stored against the product storage basis and evaluated
-through the product metric, so a probe value is ``coeffs . G x`` with ``G``
-the Kronecker product of the factor metrics.
+through the product metric, so a probe value is ``coeffs . (g * x)`` with
+``g`` the Kronecker product of the factor weights (the diagonal of the
+product Gram matrix).
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class ProbeFunctional:
         object.__setattr__(self, "coeffs", coeffs)
 
     @cached_property
-    def _product_metric(self) -> np.ndarray:
-        return reduce(np.kron, [s.metric for s in self.boundary])
+    def _product_weights(self) -> np.ndarray:
+        """Weights of the product space: the Kronecker product of the factors'."""
+        return reduce(np.kron, [s.weights for s in self.boundary])
 
     def __repr__(self) -> str:
         ids = ", ".join(s.space_id for s in self.boundary)
@@ -98,12 +100,12 @@ def pair(p: ProbeFunctional, x: Element) -> float:
         raise SpaceMismatchError(
             f"boundary condition has dimension {x.space.dim}, probe expects {dim}"
         )
-    metric = p._product_metric
-    if not np.allclose(x.space.metric, metric, rtol=0.0, atol=1e-12):
+    weights = p._product_weights
+    if not np.allclose(x.space.weights, weights, rtol=0.0, atol=1e-12):
         raise SpaceMismatchError(
             "boundary condition does not live in the probe's product space"
         )
-    return float(p.coeffs @ (metric @ x.coords))
+    return float(p.coeffs @ (weights * x.coords))
 
 
 def outcome_probability(
@@ -179,7 +181,7 @@ def compose(
         )
     s = sp.dim
     if basis is None:
-        if np.abs(sp.metric - np.eye(s)).max() > 1e-12:
+        if np.abs(sp.weights - 1.0).max() > 1e-12:
             raise UnsupportedSpaceError(
                 "storage basis of the shared factor is not orthonormal; "
                 "pass an explicit orthonormal basis"
@@ -194,8 +196,8 @@ def compose(
         # sum_k |xi_k><xi_k| as raw coordinate outer products
         kernel = xi.T @ xi
 
-    pt = (p._product_metric @ p.coeffs).reshape([f.dim for f in p.boundary])
-    qt = (q._product_metric @ q.coeffs).reshape([f.dim for f in q.boundary])
+    pt = (p._product_weights * p.coeffs).reshape([f.dim for f in p.boundary])
+    qt = (q._product_weights * q.coeffs).reshape([f.dim for f in q.boundary])
     pt = np.moveaxis(pt, i, -1)
     qt = np.moveaxis(qt, j, -1)
     core = np.tensordot(pt, kernel, axes=(-1, 0))
@@ -208,8 +210,8 @@ def compose(
         raise IncompatibleBoundaryError(
             "composition must leave at least one boundary factor"
         )
-    metric_rest = reduce(np.kron, [f.metric for f in rest])
-    coeffs = np.linalg.solve(metric_rest, weighted.reshape(-1))
+    weights_rest = reduce(np.kron, [f.weights for f in rest])
+    coeffs = weighted.reshape(-1) / weights_rest
     return ProbeFunctional(rest, coeffs, proper=p.proper and q.proper)
 
 
@@ -231,7 +233,10 @@ def probe_to_map(p: ProbeFunctional) -> OperationMap:
         )
     n = first.dim
     c = p.coeffs.reshape(n, n)
-    return OperationMap(first, c.T @ first.metric, "selective")
+    # row-major, as the product with the dense metric was: a map's matrix
+    # layout decides the summation order of every later application
+    matrix = np.ascontiguousarray(c.T) * first.weights
+    return OperationMap(first, matrix, "selective")
 
 
 def map_to_probe(
@@ -248,7 +253,7 @@ def map_to_probe(
     space = m.space
     initial = space.with_id(initial_id) if initial_id else space
     final = space.with_id(final_id if final_id else space.space_id + "'")
-    c = np.linalg.solve(space.metric, m.matrix.T)
+    c = m.matrix.T / space.weights[:, np.newaxis]
     return ProbeFunctional((initial, final), c.reshape(-1))
 
 
@@ -263,7 +268,7 @@ def transparent_probe(
     """
     initial = space.with_id(initial_id) if initial_id else space
     final = space.with_id(final_id if final_id else space.space_id + "'")
-    coeffs = np.linalg.inv(space.metric).reshape(-1)
+    coeffs = np.diag(1.0 / space.weights).reshape(-1)
     return ProbeFunctional((initial, final), coeffs, proper=True)
 
 
@@ -281,10 +286,10 @@ def certify_proper(
     """
     if rng is None:
         rng = np.random.default_rng(7)
-    metric = p._product_metric
+    weights = p._product_weights
     for _ in range(samples):
         coords = reduce(np.kron, [sample_cone(f, rng).coords for f in p.boundary])
-        value = float(p.coeffs @ (metric @ coords))
+        value = float(p.coeffs @ (weights * coords))
         if value < -scaled_tol(tol, coords):
             raise NotInConeError(
                 f"probe paired negatively ({value:.3e}) with a sampled product state"

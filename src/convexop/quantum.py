@@ -55,7 +55,7 @@ def make_quantum_space(d: int, space_id: str | None = None) -> ModelSpace:
     return ModelSpace(
         space_id=space_id,
         dim=d * d,
-        metric=np.eye(d * d),
+        metric=np.ones(d * d),
         cone_kind="psd",
         unit=matrix_to_coords(np.eye(d)),
         psd_dim=d,

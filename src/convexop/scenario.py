@@ -22,7 +22,9 @@ Measurement forms
 ``subset``          list of point indices; outcomes "in"/"out" (classical).
 
 Without an explicit ``parent`` the parent operation is the sum of the
-outcome maps.  A quantum ``model.d`` may be at most :data:`MAX_QUANTUM_DIM`.
+outcome maps.  A ``measure`` node repeated through YAML aliases is bound,
+and so validated, once.  A quantum ``model.d`` may be at most
+:data:`MAX_QUANTUM_DIM`.
 """
 
 from __future__ import annotations
@@ -604,6 +606,8 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
         group = _bind_evolution(space, kind, doc.evolution)
 
     steps = []
+    # one spec per measure node: YAML aliases of a node bind and validate once
+    specs = {}
     for k, raw in enumerate(doc.steps):
         where = f"steps[{k}]"
         if "evolve" in raw:
@@ -617,7 +621,10 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
                 raise ScenarioValidationError(f"{where}.evolve.delta: {exc}") from exc
             continue
         payload = raw["measure"]
-        spec = _bind_measure(space, kind, payload, f"{where}.measure")
+        spec = specs.get(id(payload))
+        if spec is None:
+            spec = _bind_measure(space, kind, payload, f"{where}.measure")
+            specs[id(payload)] = spec
         outcome = payload["outcome"]
         if outcome != UNOBSERVED and outcome not in spec.outcomes:
             raise ScenarioValidationError(

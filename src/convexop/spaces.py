@@ -1,10 +1,14 @@
 """Finite-dimensional ordered vector spaces with a fixed inner product.
 
 A :class:`ModelSpace` bundles the data every model shares: real storage
-coordinates for its elements, a Gram matrix for the inner product, a positive
-cone singling out the elements that count as states, and an order unit playing
-the role of the state of maximal uncertainty.  Classical and quantum models
-differ only in the cone kind and metric they install here.
+coordinates for its elements, a diagonal inner product held as a vector of
+positive weights, a positive cone singling out the elements that count as
+states, and an order unit playing the role of the state of maximal
+uncertainty.  Classical and quantum models differ only in the cone kind and
+weights they install here: the measure of a classical phase space, and all
+ones for a quantum space stored in an orthonormal Hermitian basis.  Both
+cones are self-dual under such a diagonal inner product; an off-diagonal
+metric is rejected, since under it two cone elements can pair negatively.
 
 Two cone kinds are decidable: ``componentwise`` (functions on a finite set,
 nonnegative pointwise) and ``psd`` (real coordinates of Hermitian matrices in
@@ -15,7 +19,8 @@ deliberately refused rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +49,7 @@ def scaled_tol(tol: float, coords: np.ndarray) -> float:
     return tol * max(1.0, peak)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ModelSpace:
     """An ordered real vector space with inner product and order unit.
 
@@ -57,53 +62,72 @@ class ModelSpace:
     dim : int
         Real dimension of the space.
     metric : array_like
-        Symmetric positive-definite ``dim x dim`` Gram matrix of the inner
-        product in the storage basis.
+        The inner product in the storage basis: a vector of ``dim`` strictly
+        positive weights, or the ``dim x dim`` diagonal Gram matrix holding
+        them.  A symmetric metric with a nonzero off-diagonal entry is
+        rejected.
     cone_kind : str
         One of ``"componentwise"``, ``"psd"``, ``"product"``.
     unit : array_like
         Storage coordinates of the order unit ``e``.
     psd_dim : int, optional
         Matrix size ``d`` for the psd cone; requires ``dim == d**2``.
+
+    The space keeps the read-only ``weights``, so that pairings cost
+    ``O(dim)``; :attr:`metric` is their diagonal matrix, built when read.
     """
 
     space_id: str
     dim: int
-    metric: np.ndarray
+    weights: np.ndarray
     cone_kind: str
     unit: np.ndarray
     psd_dim: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(
+        self,
+        space_id: str,
+        dim: int,
+        metric,
+        cone_kind: str,
+        unit,
+        psd_dim: int | None = None,
+    ) -> None:
+        if dim < 1:
             raise ValueError("space dimension must be positive")
-        metric = np.array(self.metric, dtype=float)
-        unit = np.array(self.unit, dtype=float)
-        if metric.shape != (self.dim, self.dim):
+        weights = np.array(metric, dtype=float)
+        unit = np.array(unit, dtype=float)
+        if weights.shape not in ((dim,), (dim, dim)):
             raise SpaceMismatchError(
-                f"metric shape {metric.shape} does not fit dimension {self.dim}"
+                f"metric shape {weights.shape} does not fit dimension {dim}"
             )
-        if unit.shape != (self.dim,):
+        if unit.shape != (dim,):
             raise SpaceMismatchError(
-                f"unit length {unit.shape} does not fit dimension {self.dim}"
+                f"unit length {unit.shape} does not fit dimension {dim}"
             )
-        scale = max(1.0, float(np.abs(metric).max()))
-        if np.abs(metric - metric.T).max() > 1e-12 * scale:
-            raise ValueError("metric must be symmetric")
-        try:  # the factor exists iff positive definite, but LAPACK passes a NaN
-            if np.isnan(np.linalg.cholesky(metric)).any():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            raise ValueError("metric must be positive definite") from None
-        if self.cone_kind == "componentwise":
-            if self.psd_dim is not None:
+        if weights.ndim == 2:
+            scale = max(1.0, float(np.abs(weights).max()))
+            if np.abs(weights - weights.T).max() > 1e-12 * scale:
+                raise ValueError("metric must be symmetric")
+            off_diagonal = weights.copy()
+            np.fill_diagonal(off_diagonal, 0.0)
+            if off_diagonal.any():
+                raise ValueError(
+                    "metric must be diagonal in the storage basis; an "
+                    "off-diagonal metric breaks the self-duality of the cone"
+                )
+            weights = np.diagonal(weights).copy()
+        if not (weights > 0.0).all():  # also rejects a NaN weight
+            raise ValueError("metric must be positive definite")
+        if cone_kind == "componentwise":
+            if psd_dim is not None:
                 raise ValueError("psd_dim only applies to the psd cone kind")
             if float(unit.min()) <= 0.0:
                 raise ValueError("componentwise order unit must be strictly positive")
-        elif self.cone_kind == "psd":
-            if self.psd_dim is None or self.psd_dim ** 2 != self.dim:
+        elif cone_kind == "psd":
+            if psd_dim is None or psd_dim ** 2 != dim:
                 raise ValueError("psd cone requires dim equal to psd_dim squared")
-            if np.abs(metric - np.eye(self.dim)).max() > 1e-12:
+            if np.abs(weights - 1.0).max() > 1e-12:
                 raise ValueError(
                     "psd spaces store coordinates in an orthonormal basis; "
                     "metric must be the identity"
@@ -111,16 +135,28 @@ class ModelSpace:
             unit_eigs = np.linalg.eigvalsh(coords_to_matrix(unit))
             if float(unit_eigs.min()) <= 0.0:
                 raise ValueError("psd order unit must be strictly positive definite")
-        elif self.cone_kind != "product":
-            raise ValueError(f"unknown cone kind {self.cone_kind!r}")
-        metric.setflags(write=False)
+        elif cone_kind != "product":
+            raise ValueError(f"unknown cone kind {cone_kind!r}")
+        weights.setflags(write=False)
         unit.setflags(write=False)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "unit", unit)
+        for name, value in (
+            ("space_id", space_id), ("dim", dim), ("weights", weights),
+            ("cone_kind", cone_kind), ("unit", unit), ("psd_dim", psd_dim),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """The Gram matrix ``diag(weights)``, read-only; ``dim**2`` floats."""
+        metric = np.diag(self.weights)
+        metric.setflags(write=False)
+        return metric
 
     def with_id(self, space_id: str) -> "ModelSpace":
         """Copy of this space under a new identifier (a relabeled time slice)."""
-        return replace(self, space_id=space_id)
+        return ModelSpace(
+            space_id, self.dim, self.weights, self.cone_kind, self.unit, self.psd_dim
+        )
 
     def __repr__(self) -> str:  # short form, metric omitted
         kind = self.cone_kind
@@ -172,7 +208,7 @@ def same_structure(a: ModelSpace, b: ModelSpace) -> bool:
         a.dim == b.dim
         and a.cone_kind == b.cone_kind
         and a.psd_dim == b.psd_dim
-        and np.array_equal(a.metric, b.metric)
+        and np.array_equal(a.weights, b.weights)
         and np.array_equal(a.unit, b.unit)
     )
 
@@ -205,7 +241,7 @@ def inner(b: Element, c: Element) -> float:
     both supported cone kinds.
     """
     require_same_space(b.space, c.space)
-    return float(b.coords @ (b.space.metric @ c.coords))
+    return float(b.coords @ (b.space.weights * c.coords))
 
 
 def cone_margin(b: Element) -> float:
@@ -277,7 +313,7 @@ def normalize_state(b: Element, tol: float = DEFAULT_TOL) -> Element:
 
 
 def product_space(a: ModelSpace, b: ModelSpace) -> ModelSpace:
-    """Tensor product space: Kronecker metric and unit.
+    """Tensor product space: Kronecker product of the weights and of the units.
 
     The product of two componentwise spaces is again componentwise (the
     nonnegative orthant is its own tensor product); any product involving a
@@ -291,7 +327,7 @@ def product_space(a: ModelSpace, b: ModelSpace) -> ModelSpace:
     return ModelSpace(
         space_id=f"({a.space_id}*{b.space_id})",
         dim=a.dim * b.dim,
-        metric=np.kron(a.metric, b.metric),
+        metric=np.kron(a.weights, b.weights),
         cone_kind=kind,
         unit=np.kron(a.unit, b.unit),
     )

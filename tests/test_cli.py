@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -285,3 +286,45 @@ def test_exponent_with_dot_and_sign_is_a_real(delta, tmp_path, capsys):
     doc.write_text(EVOLVE_DOC.format(delta=delta))
     assert run_main("run", doc) == 0
     assert json.loads(capsys.readouterr().out)["probability"] == 1.0
+
+
+def test_large_classical_document_runs_in_memory_linear_in_n(tmp_path):
+    # n = 30000 points: a dense n x n map would take 6.7 GiB, so every
+    # metric and indicator map has to stay a vector of n entries
+    n = 30000
+    low, even = list(range(n // 2)), list(range(0, n, 2))
+    doc = tmp_path / "cells.yaml"
+    doc.write_text(
+        f"model: {{kind: classical, n: {n}, mu: {[1.0] * n}}}\n"
+        f"initial: {{values: {[1.0] * n}}}\n"
+        f"evolution: {{permutation: [{list(range(n))}]}}\n"
+        "steps:\n"
+        f"  - measure: {{name: low, outcome: in, subset: {low}}}\n"
+        "  - evolve: {delta: 1}\n"
+        f"  - measure: {{name: even, outcome: in, subset: {even}}}\n"
+        f"  - measure: {{name: low, outcome: unobserved, subset: {low}}}\n"
+    )
+    # a wrapper process reports the peak resident size of the run alone
+    probe = (
+        "import resource, subprocess, sys\n"
+        "result = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "sys.stderr.write(result.stderr)\n"
+        "print(result.returncode, peak)\n"
+        "sys.stdout.write(result.stdout)\n"
+    )
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-c", probe,
+         sys.executable, "-m", "convexop", "run", str(doc)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    elapsed = time.monotonic() - started
+    status, _, report = result.stdout.partition("\n")
+    code, max_rss_kib = map(int, status.split())
+    assert code == 0, result.stderr
+    assert elapsed < 60.0
+    assert max_rss_kib < 400 * 1024
+    assert json.loads(report)["probability"] == pytest.approx(0.25, abs=1e-12)
