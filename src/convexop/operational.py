@@ -11,7 +11,8 @@ non-selective parent, by default their sum.  :func:`predict`,
 sequential-outcome probabilities with optional post-selection.
 :class:`EvolutionGroup` supplies one-parameter families of cone
 automorphisms (permutations of phase-space points, or unitary conjugation
-generated by a Hamiltonian).
+generated by a Hamiltonian).  A Hamiltonian member acts in the eigenbasis of
+its generator, where it multiplies each matrix entry by a phase.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .errors import (
     UnknownOutcomeError,
     ZeroProbabilityError,
 )
-from .hermitian import (
-    complex_coords,
-    coords_to_matrix,
-    kraus_matrix,
-    require_hermitian,
-)
+from .hermitian import basis_expand, require_hermitian
 from .spaces import (
     DEFAULT_TOL,
     Element,
@@ -319,6 +315,8 @@ class EvolutionGroup:
     point of ``i``, integer time steps only) or ``"hamiltonian"`` (continuous;
     unitary conjugation by ``v diag(exp(-i delta w)) v^dagger``, where the
     eigenpairs ``spectrum = (w, v)`` of the Hermitian generator are computed once).
+    A Hamiltonian member acts through :attr:`eigen_frame` and never forms the
+    matrix of the state.
     """
 
     space: ModelSpace
@@ -368,6 +366,18 @@ class EvolutionGroup:
         else:
             raise ValueError(f"unknown evolution kind {self.kind!r}")
 
+    @cached_property
+    def eigen_frame(self) -> tuple:
+        """``(eig, back)`` of a Hamiltonian group, built on first use: the
+        unitary ``d**2 x d**2`` matrix ``eig`` takes coordinates to
+        ``vec(v^dagger rho v)``, its column ``a`` is ``vec(v^dagger B_a v)``,
+        and ``back = eig^dagger`` takes it back."""
+        d = self.space.psd_dim
+        v = self.spectrum[1]
+        basis = basis_expand(np.eye(d * d)).transpose(2, 0, 1)
+        eig = np.ascontiguousarray((v.conj().T @ basis @ v).reshape(d * d, d * d).T)
+        return eig, eig.conj().T
+
 
 def _integer_steps(delta: float) -> int:
     """The number of shifts a permutation evolution makes in time ``delta``."""
@@ -393,21 +403,20 @@ def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
     return result
 
 
-def _unitary(w: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
-    """``exp(-i * delta * H)`` from the eigenpairs ``(w, v)`` of ``H``."""
+def propagator(hamiltonian: np.ndarray, delta: float) -> np.ndarray:
+    """Unitary ``exp(-i * delta * H)`` via Hermitian eigendecomposition."""
+    w, v = np.linalg.eigh(require_hermitian(hamiltonian))
     return (v * np.exp(-1j * delta * w)) @ v.conj().T
 
 
-def propagator(hamiltonian: np.ndarray, delta: float) -> np.ndarray:
-    """Unitary ``exp(-i * delta * H)`` via Hermitian eigendecomposition."""
-    return _unitary(*np.linalg.eigh(require_hermitian(hamiltonian)), delta)
-
-
 def _member(group: EvolutionGroup, delta: float) -> np.ndarray:
-    """The time-``delta`` member: an image table or a unitary."""
+    """The time-``delta`` member: an image table, or the phase
+    ``p_i conj(p_j)``, ``p = exp(-i delta w)``, of each eigenbasis entry
+    ``(i, j)``; not ``exp(-i delta (w_i - w_j))``, whose gap can overflow."""
     if group.kind == "permutation":
         return _permutation_power(group.permutation, delta)
-    return _unitary(*group.spectrum, delta)
+    phases = np.exp(-1j * delta * group.spectrum[0])
+    return (phases[:, np.newaxis] * phases.conj()).ravel()
 
 
 def _apply_member(group: EvolutionGroup, member: np.ndarray, b: Element) -> Element:
@@ -416,9 +425,8 @@ def _apply_member(group: EvolutionGroup, member: np.ndarray, b: Element) -> Elem
         out = np.empty_like(b.coords)
         out[member] = b.coords
         return Element(b.space, out)
-    mat = coords_to_matrix(b.coords)
-    # conjugation keeps the matrix Hermitian, so no Hermiticity check
-    return Element(b.space, np.real(complex_coords(member @ mat @ member.conj().T)))
+    eig, back = group.eigen_frame
+    return Element(b.space, np.real(back @ (member * (eig @ b.coords))))
 
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
@@ -434,7 +442,8 @@ def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
         matrix = np.zeros((group.space.dim, group.space.dim))
         matrix[member, np.arange(group.space.dim)] = 1.0
     else:
-        matrix = kraus_matrix(member[np.newaxis])
+        eig, back = group.eigen_frame
+        matrix = np.real((back * member) @ eig)
     return OperationMap(group.space, matrix, "nonselective")
 
 
@@ -456,7 +465,8 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class EvolveStep:
-    """Free evolution for a time ``delta``, an integer for a permutation group."""
+    """Free evolution for a time ``delta``, an integer for a permutation group
+    and one whose phases ``delta * w`` are finite for a Hamiltonian group."""
 
     group: EvolutionGroup
     delta: float
@@ -464,6 +474,14 @@ class EvolveStep:
     def __post_init__(self) -> None:
         if self.group.kind == "permutation":
             _integer_steps(self.delta)
+            return
+        # eigh sorts w, so its largest magnitude is at an end; a product of
+        # Python floats overflows to inf without a warning
+        w = self.group.spectrum[0]
+        if not abs(float(self.delta) * float(max(-w[0], w[-1]))) < np.inf:
+            raise InvalidEvolutionError(
+                f"time {self.delta!r} times the generator's spectrum overflows"
+            )
 
 
 @dataclass(frozen=True)

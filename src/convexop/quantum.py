@@ -220,7 +220,11 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
             "map does not preserve Hermiticity; Choi matrix is not Hermitian"
         )
     choi = (choi + adjoint) / 2.0
-    min_eig = float(np.linalg.eigvalsh(choi).min())
+    try:
+        min_eig = float(np.linalg.eigvalsh(choi).min())
+    except np.linalg.LinAlgError:
+        # the inf and NaN entries of a map that overflowed: not certified
+        min_eig = float("nan")
     return ChoiReport(choi, bool(min_eig >= -tol), min_eig)
 
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +121,8 @@ _number = _instance((int, float), "a real number")
 
 def _real(value, path: str) -> None:
     _number(value, path)
-    if not math.isfinite(value):
+    # false for inf, nan and an integer beyond the float range alike
+    if not abs(value) <= sys.float_info.max:
         _fail(path, "expected a finite number")
 
 
@@ -253,7 +256,8 @@ def _model(value, path: str) -> None:
     model = _mapping(value, path)
     kind = model.get("kind")
     if not isinstance(kind, str) or kind not in _MODELS:
-        _fail(f"{path}.kind", f"expected 'quantum' or 'classical', got {kind!r}")
+        # reprlib cuts a deeply nested or long value short
+        _fail(f"{path}.kind", f"expected 'quantum' or 'classical', got {reprlib.repr(kind)}")
     _MODELS[kind](model, path)
 
 
@@ -311,7 +315,8 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     def construct_mapping(self, node, deep=False):
         seen = set()
-        for key_node, _ in node.value:
+        # a node of another kind is left to the base constructor to report
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
             if key_node.tag == "tag:yaml.org,2002:merge":
                 continue
             key = self.construct_object(key_node, deep=deep)
@@ -337,6 +342,10 @@ def _load_yaml(text: str):
         if mark is not None:
             raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1) from exc
         raise ScenarioSyntaxError(problem) from exc
+    except (ValueError, KeyError, AttributeError) as exc:
+        # what PyYAML's scalar constructors raise on a value that does not fit
+        # its tag: "!!int abc", "!!bool maybe", "!!timestamp x", "2001-13-01"
+        raise ScenarioSyntaxError(f"unreadable scalar: {exc}") from exc
 
 
 def _load_document(text: str, schema) -> dict:
