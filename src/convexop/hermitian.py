@@ -70,13 +70,13 @@ def hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(mat: np.ndarray) -> np.ndarray:
     """Validate Hermiticity and return the matrix as a complex array."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SpaceMismatchError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
-    if np.abs(mat - mat.conj().T).max() > tol * scale:
+    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return mat
 
@@ -145,9 +145,9 @@ def basis_pair(mats: np.ndarray) -> np.ndarray:
     return _linear(mats, d, False).reshape((d * d,) + mats.shape[2:])
 
 
-def matrix_to_coords(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def matrix_to_coords(mat: np.ndarray) -> np.ndarray:
     """Real coordinates ``tr(B_a m)`` of a Hermitian matrix."""
-    return np.real(complex_coords(require_hermitian(mat, tol)))
+    return np.real(complex_coords(require_hermitian(mat)))
 
 
 def coords_to_matrix(coords: np.ndarray) -> np.ndarray:

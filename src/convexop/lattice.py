@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexOpError, UnsupportedSpaceError
-from .hermitian import require_hermitian
 from .quantum import from_matrix, to_matrix
 from .spaces import DEFAULT_TOL, Element, leq, require_same_space
 
@@ -105,8 +104,8 @@ def anti_lattice_witness(
     space = ea.space
     if space.cone_kind != "psd" or space.psd_dim != 2:
         raise UnsupportedSpaceError("witness search is implemented for 2x2 matrices")
-    a = require_hermitian(to_matrix(ea))
-    b = require_hermitian(to_matrix(eb))
+    a = to_matrix(ea)
+    b = to_matrix(eb)
     relation = classify_order(ea, eb, tol)
     if relation.verdict != "incomparable":
         return AntiLatticeWitness(

@@ -228,23 +228,19 @@ def completeness_gap(spec: MeasurementSpec, tol: float = DEFAULT_TOL) -> tuple:
     return gap, scaled_tol(tol, parent)
 
 
-def measurement_defects(
-    spec: MeasurementSpec,
-    completeness_tol: float = 1e-10,
-    causality_tol: float = DEFAULT_TOL,
-) -> list:
+def measurement_defects(spec: MeasurementSpec) -> list:
     """Numeric defects of a measurement, as human-readable strings.
 
-    Empty list means the outcome maps sum to the parent and the parent
-    fixes the order-unit pairing.
+    Empty list means the outcome maps sum to the parent within ``1e-10`` and
+    the parent fixes the order-unit pairing within :data:`DEFAULT_TOL`.
     """
     defects = []
-    gap, bound = completeness_gap(spec, completeness_tol)
+    gap, bound = completeness_gap(spec, 1e-10)
     if gap > bound:
         defects.append(
             f"outcome maps of {spec.name!r} sum to the parent only up to {gap:.3e}"
         )
-    if not is_nonselective(spec.parent, causality_tol):
+    if not is_nonselective(spec.parent):
         defects.append(
             f"parent of {spec.name!r} does not preserve the order-unit pairing"
         )
@@ -409,12 +405,24 @@ def propagator(hamiltonian: np.ndarray, delta: float) -> np.ndarray:
     return (v * np.exp(-1j * delta * w)) @ v.conj().T
 
 
+def _require_finite_phases(group: EvolutionGroup, delta: float) -> None:
+    """Reject a time whose phases ``delta * w`` overflow the float range."""
+    # eigh sorts w, so its largest magnitude is at an end; a product of
+    # Python floats overflows to inf without a warning
+    w = group.spectrum[0]
+    if not abs(float(delta) * float(max(-w[0], w[-1]))) < np.inf:
+        raise InvalidEvolutionError(
+            f"time {delta!r} times the generator's spectrum overflows"
+        )
+
+
 def _member(group: EvolutionGroup, delta: float) -> np.ndarray:
     """The time-``delta`` member: an image table, or the phase
     ``p_i conj(p_j)``, ``p = exp(-i delta w)``, of each eigenbasis entry
     ``(i, j)``; not ``exp(-i delta (w_i - w_j))``, whose gap can overflow."""
     if group.kind == "permutation":
         return _permutation_power(group.permutation, delta)
+    _require_finite_phases(group, delta)
     phases = np.exp(-1j * delta * group.spectrum[0])
     return (phases[:, np.newaxis] * phases.conj()).ravel()
 
@@ -431,7 +439,6 @@ def _apply_member(group: EvolutionGroup, member: np.ndarray, b: Element) -> Elem
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
     """Apply the time-``delta`` member of the group to an element."""
-    require_same_space(group.space, b.space)
     return _apply_member(group, _member(group, delta), b)
 
 
@@ -474,14 +481,8 @@ class EvolveStep:
     def __post_init__(self) -> None:
         if self.group.kind == "permutation":
             _integer_steps(self.delta)
-            return
-        # eigh sorts w, so its largest magnitude is at an end; a product of
-        # Python floats overflows to inf without a warning
-        w = self.group.spectrum[0]
-        if not abs(float(self.delta) * float(max(-w[0], w[-1]))) < np.inf:
-            raise InvalidEvolutionError(
-                f"time {self.delta!r} times the generator's spectrum overflows"
-            )
+        else:
+            _require_finite_phases(self.group, self.delta)
 
 
 @dataclass(frozen=True)

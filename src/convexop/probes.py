@@ -180,13 +180,16 @@ def compose(
             f"shared factor {shared!r} differs structurally between the probes"
         )
     s = sp.dim
+    pt = (p._product_weights * p.coeffs).reshape([f.dim for f in p.boundary])
+    qt = (q._product_weights * q.coeffs).reshape([f.dim for f in q.boundary])
+    pt, qt = np.moveaxis(pt, i, -1), np.moveaxis(qt, j, -1)
     if basis is None:
         if np.abs(sp.weights - 1.0).max() > 1e-12:
             raise UnsupportedSpaceError(
                 "storage basis of the shared factor is not orthonormal; "
                 "pass an explicit orthonormal basis"
             )
-        kernel = np.eye(s)
+        pt = np.ascontiguousarray(pt)  # BLAS sums a transposed operand otherwise
     else:
         xi = np.asarray(basis, dtype=float)
         if xi.shape != (s, s):
@@ -194,14 +197,8 @@ def compose(
                 f"basis shape {xi.shape} does not fit the shared dimension {s}"
             )
         # sum_k |xi_k><xi_k| as raw coordinate outer products
-        kernel = xi.T @ xi
-
-    pt = (p._product_weights * p.coeffs).reshape([f.dim for f in p.boundary])
-    qt = (q._product_weights * q.coeffs).reshape([f.dim for f in q.boundary])
-    pt = np.moveaxis(pt, i, -1)
-    qt = np.moveaxis(qt, j, -1)
-    core = np.tensordot(pt, kernel, axes=(-1, 0))
-    weighted = np.tensordot(core, qt, axes=(-1, -1))
+        pt = np.tensordot(pt, xi.T @ xi, axes=(-1, 0))
+    weighted = np.tensordot(pt, qt, axes=(-1, -1))
 
     rest = tuple(f for k, f in enumerate(p.boundary) if k != i) + tuple(
         f for k, f in enumerate(q.boundary) if k != j

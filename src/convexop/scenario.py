@@ -22,9 +22,10 @@ Measurement forms
 ``subset``          list of point indices; outcomes "in"/"out" (classical).
 
 Without an explicit ``parent`` the parent operation is the sum of the
-outcome maps.  A ``measure`` node repeated through YAML aliases is bound,
-and so validated, once.  A quantum ``model.d`` may be at most
-:data:`MAX_QUANTUM_DIM`.
+outcome maps.  A ``measure`` node repeated through YAML aliases or merge
+keys is bound, and so validated, once.  A quantum ``model.d`` may be at
+most :data:`MAX_QUANTUM_DIM`, and YAML collections nest at most
+:data:`MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ from .spaces import (
 
 #: Largest quantum ``model.d``, checked before any allocation: maps take d**4 floats.
 MAX_QUANTUM_DIM = 16
+
+#: Deepest nesting of YAML collections, checked before a document is composed:
+#: libyaml's composer recurses in C and overflows its stack near 30,000 levels.
+MAX_NESTING = 5000
 
 # ---------------------------------------------------------------------------
 # schema (shape and type only; semantics live in bind_scenario)
@@ -333,8 +338,31 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep=deep)
 
 
+def _check_nesting(text: str) -> None:
+    """Reject collections nested deeper than :data:`MAX_NESTING`."""
+    # a level opens at a "{", a "- " or "? " indicator or a line break, or at
+    # a "[", which may open a single-pair mapping inside it too
+    breaks = sum(map(text.count, ("\n", "\r", "\x85", "\u2028", "\u2029")))
+    indicators = text.count("{") + text.count("- ") + text.count("? ")
+    if 2 * text.count("[") + indicators + breaks + 1 <= MAX_NESTING:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_Loader):
+        if isinstance(event, (yaml.SequenceStartEvent, yaml.MappingStartEvent)):
+            depth += 1
+            if depth > MAX_NESTING:
+                mark = event.start_mark
+                raise ScenarioSyntaxError(
+                    f"collections nested deeper than {MAX_NESTING} levels",
+                    mark.line + 1, mark.column + 1,
+                )
+        elif isinstance(event, (yaml.SequenceEndEvent, yaml.MappingEndEvent)):
+            depth -= 1
+
+
 def _load_yaml(text: str):
     try:
+        _check_nesting(text)
         return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
@@ -442,37 +470,52 @@ class BoundScenario:
     group: object
 
 
+#: Form of a state, evolution or measurement -> the model kind it needs;
+#: None for a form that fits either.
+_FORM_MODEL = {
+    **dict.fromkeys(
+        ("pure", "matrix", "hamiltonian", "observable", "projectors", "kraus"), "quantum"
+    ),
+    **dict.fromkeys(("values", "permutation", "subset"), "classical"),
+    "coords_matrix": None,
+}
+
+
+def _form(kind: str, payload: dict, where: str, role: str) -> str:
+    """The form key of a schema-checked payload, if the model kind fits it."""
+    form = next(key for key in payload if key in _FORM_MODEL)
+    need = _FORM_MODEL[form]
+    if need not in (None, kind):
+        raise ScenarioValidationError(
+            f"{where}.{form}: a {need} {role} form needs the {need} model"
+        )
+    return form
+
+
 def _bind_state(space, kind: str, payload: dict, where: str) -> Element:
-    if kind == "quantum":
-        d = space.psd_dim
-        if "values" in payload:
+    form = _form(kind, payload, where, "state")
+    if form == "values":
+        values = np.array(payload["values"], dtype=float)
+        if values.size != space.dim:
             raise ScenarioValidationError(
-                f"{where}: 'values' is a classical state form; use 'pure' or 'matrix'"
+                f"{where}.values: expected {space.dim} entries, got {values.size}"
             )
-        if "pure" in payload:
-            amps = np.array([_to_complex(e) for e in payload["pure"]])
-            if amps.size != d:
-                raise ScenarioValidationError(
-                    f"{where}.pure: expected {d} amplitudes, got {amps.size}"
-                )
-            if float(np.linalg.norm(amps)) <= 1e-12:
-                raise ScenarioValidationError(f"{where}.pure: amplitude vector is zero")
-            return from_matrix(space, pure_state(amps))
-        mat = _square(payload["matrix"], d, f"{where}.matrix")
-        try:
-            return from_matrix(space, mat)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{where}.matrix: {exc}") from exc
-    if "values" not in payload:
-        raise ScenarioValidationError(
-            f"{where}: classical states use the 'values' form"
-        )
-    values = np.array(payload["values"], dtype=float)
-    if values.size != space.dim:
-        raise ScenarioValidationError(
-            f"{where}.values: expected {space.dim} entries, got {values.size}"
-        )
-    return Element(space, values)
+        return Element(space, values)
+    d = space.psd_dim
+    if form == "pure":
+        amps = np.array([_to_complex(e) for e in payload["pure"]])
+        if amps.size != d:
+            raise ScenarioValidationError(
+                f"{where}.pure: expected {d} amplitudes, got {amps.size}"
+            )
+        if float(np.linalg.norm(amps)) <= 1e-12:
+            raise ScenarioValidationError(f"{where}.pure: amplitude vector is zero")
+        return from_matrix(space, pure_state(amps))
+    mat = _square(payload["matrix"], d, f"{where}.matrix")
+    try:
+        return from_matrix(space, mat)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"{where}.matrix: {exc}") from exc
 
 
 def _cycles_to_image(cycles, n: int):
@@ -495,20 +538,12 @@ def _cycles_to_image(cycles, n: int):
 
 
 def _bind_evolution(space, kind: str, payload: dict):
-    if "hamiltonian" in payload:
-        if kind != "quantum":
-            raise ScenarioValidationError(
-                "evolution.hamiltonian: requires the quantum model"
-            )
+    if _form(kind, payload, "evolution", "evolution") == "hamiltonian":
         h = _square(payload["hamiltonian"], space.psd_dim, "evolution.hamiltonian")
         try:
             return hamiltonian_evolution(h, space)
         except (ValueError, ConvexOpError) as exc:
             raise ScenarioValidationError(f"evolution.hamiltonian: {exc}") from exc
-    if kind != "classical":
-        raise ScenarioValidationError(
-            "evolution.permutation: requires the classical model"
-        )
     image = _cycles_to_image(payload["permutation"], space.dim)
     try:
         return permutation_evolution(space, image)
@@ -518,37 +553,28 @@ def _bind_evolution(space, kind: str, payload: dict):
 
 def _bind_measure(space, kind: str, payload: dict, where: str):
     """Build the MeasurementSpec of one measure step."""
-    name = payload["name"]
-    if "observable" in payload:
-        if kind != "quantum":
-            raise ScenarioValidationError(
-                f"{where}.observable: requires the quantum model"
-            )
-        obs = _square(payload["observable"], space.psd_dim, f"{where}.observable")
+    form = _form(kind, payload, where, "measurement")
+    name, source, at = payload["name"], payload[form], f"{where}.{form}"
+    if form == "observable":
+        obs = _square(source, space.psd_dim, at)
         try:
             spec, _ = spectral_measurement(obs, space=space, name=name)
         except (ValueError, ConvexOpError) as exc:
-            raise ScenarioValidationError(f"{where}.observable: {exc}") from exc
+            raise ScenarioValidationError(f"{at}: {exc}") from exc
         return spec
-    if "subset" in payload:
-        if kind != "classical":
-            raise ScenarioValidationError(
-                f"{where}.subset: requires the classical model"
-            )
+    if form == "subset":
         try:
-            return indicator_measurement(space, payload["subset"], name=name)
+            return indicator_measurement(space, source, name=name)
         except ValueError as exc:
-            raise ScenarioValidationError(f"{where}.subset: {exc}") from exc
+            raise ScenarioValidationError(f"{at}: {exc}") from exc
     parent = None
-    if "coords_matrix" in payload:
+    if form == "coords_matrix":
         n = space.dim
         table = {
             label: OperationMap(
-                space,
-                _square(rows, n, f"{where}.coords_matrix[{label!r}]", _to_real_matrix),
-                "selective",
+                space, _square(rows, n, f"{at}[{label!r}]", _to_real_matrix), "selective"
             )
-            for label, rows in payload["coords_matrix"].items()
+            for label, rows in source.items()
         }
         if "parent" in payload:
             parent = OperationMap(
@@ -557,28 +583,17 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
                 "nonselective",
             )
     else:
-        if kind != "quantum":
-            raise ScenarioValidationError(
-                f"{where}: Kraus and projector forms require the quantum model"
-            )
         d = space.psd_dim
-        table = {}
-        source = payload.get("projectors")
-        if source is not None:
-            families = {label: [mat] for label, mat in source.items()}
-        else:
-            families = payload["kraus"]
-        for label, mats in families.items():
-            operators = []
-            for mat in mats:
-                k = _to_complex_matrix(mat)
-                if k.shape != (d, d):
-                    raise ScenarioValidationError(
-                        f"{where}: operator for outcome {label!r} has shape "
-                        f"{k.shape}, expected {d} by {d}"
-                    )
-                operators.append(k)
-            table[label] = kraus_operation(space, KrausSet(tuple(operators)), "selective")
+        if form == "projectors":
+            source = {label: [mat] for label, mat in source.items()}
+        table = {
+            label: kraus_operation(
+                space,
+                KrausSet(tuple(_square(mat, d, f"{at}[{label!r}]") for mat in mats)),
+                "selective",
+            )
+            for label, mats in source.items()
+        }
     try:
         return MeasurementSpec(name=name, outcomes=table, parent=parent)
     except (ValueError, TypeError) as exc:
@@ -615,7 +630,8 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
         group = _bind_evolution(space, kind, doc.evolution)
 
     steps = []
-    # one spec per measure node: YAML aliases of a node bind and validate once
+    # one spec per name, form payload and parent: aliases and merge-key copies
+    # of a measure node hold the same payload objects, so they bind once
     specs = {}
     for k, raw in enumerate(doc.steps):
         where = f"steps[{k}]"
@@ -630,10 +646,11 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
                 raise ScenarioValidationError(f"{where}.evolve.delta: {exc}") from exc
             continue
         payload = raw["measure"]
-        spec = specs.get(id(payload))
+        form = next(key for key in MEASURE_FORMS if key in payload)
+        key = (payload["name"], form, id(payload[form]), id(payload.get("parent")))
+        spec = specs.get(key)
         if spec is None:
-            spec = _bind_measure(space, kind, payload, f"{where}.measure")
-            specs[id(payload)] = spec
+            spec = specs[key] = _bind_measure(space, kind, payload, f"{where}.measure")
         outcome = payload["outcome"]
         if outcome != UNOBSERVED and outcome not in spec.outcomes:
             raise ScenarioValidationError(

@@ -69,7 +69,8 @@ class ModelSpace:
     cone_kind : str
         One of ``"componentwise"``, ``"psd"``, ``"product"``.
     unit : array_like
-        Storage coordinates of the order unit ``e``.
+        Storage coordinates of the order unit ``e``; for the psd cone, those
+        of the identity matrix.
     psd_dim : int, optional
         Matrix size ``d`` for the psd cone; requires ``dim == d**2``.
 
@@ -132,9 +133,9 @@ class ModelSpace:
                     "psd spaces store coordinates in an orthonormal basis; "
                     "metric must be the identity"
                 )
-            unit_eigs = np.linalg.eigvalsh(coords_to_matrix(unit))
-            if float(unit_eigs.min()) <= 0.0:
-                raise ValueError("psd order unit must be strictly positive definite")
+            # also rejects a NaN entry
+            if not np.abs(coords_to_matrix(unit) - np.eye(psd_dim)).max() <= 1e-12:
+                raise ValueError("psd order unit must be the identity matrix")
         elif cone_kind != "product":
             raise ValueError(f"unknown cone kind {cone_kind!r}")
         weights.setflags(write=False)
@@ -279,7 +280,7 @@ def order_unit_lambda(b: Element, tol: float = DEFAULT_TOL) -> float:
     """Least ``lam >= 0`` with ``b <= lam * e`` for a cone element ``b``.
 
     componentwise: the largest ratio of coordinate to unit entry; psd: the
-    largest eigenvalue, rescaled by the unit when it is not the identity.
+    largest eigenvalue, the unit being the identity.
     """
     if not is_positive(b, tol):
         raise NotInConeError(
@@ -289,16 +290,7 @@ def order_unit_lambda(b: Element, tol: float = DEFAULT_TOL) -> float:
     if kind == "componentwise":
         lam = float(np.max(b.coords / b.space.unit))
     else:
-        e_mat = coords_to_matrix(b.space.unit)
-        b_mat = coords_to_matrix(b.coords)
-        d = e_mat.shape[0]
-        if np.abs(e_mat - np.eye(d)).max() <= 1e-12:
-            lam = float(np.linalg.eigvalsh(b_mat).max())
-        else:
-            # whiten by the unit: least lam with lam*E - b psd
-            w, v = np.linalg.eigh(e_mat)
-            root_inv = (v / np.sqrt(w)) @ v.conj().T
-            lam = float(np.linalg.eigvalsh(root_inv @ b_mat @ root_inv).max())
+        lam = float(np.linalg.eigvalsh(coords_to_matrix(b.coords)).max())
     return max(lam, 0.0)
 
 
