@@ -76,7 +76,8 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SpaceMismatchError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
-    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL * scale:
+    # fails for a NaN entry, and for an inf one before the difference warns
+    if not (scale < np.inf and np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     return mat
 
@@ -188,16 +189,16 @@ def complex_coords(mat: np.ndarray) -> np.ndarray:
     return basis_pair(np.asarray(mat, dtype=complex))
 
 
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     """A random Hermitian matrix with Gaussian entries."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (g + g.conj().T) / 2.0
+    return (g + g.conj().T) / 2.0
 
 
-def random_psd(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_psd(d: int, rng: np.random.Generator) -> np.ndarray:
     """A random positive semidefinite matrix ``X X^dagger``."""
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (x @ x.conj().T) / d
+    return (x @ x.conj().T) / d
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

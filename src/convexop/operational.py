@@ -137,12 +137,12 @@ def order_unit_defect(op: OperationMap, tol: float = DEFAULT_TOL) -> tuple:
     return float(np.abs(_act(op, g, transpose=True) - g).max()), scaled_tol(tol, g)
 
 
-def is_nonselective(op: OperationMap, tol: float = DEFAULT_TOL) -> bool:
+def is_nonselective(op: OperationMap) -> bool:
     """Whether the adjoint of the map fixes the order unit.
 
     See :func:`order_unit_defect` for the defect and its tolerance.
     """
-    defect, bound = order_unit_defect(op, tol)
+    defect, bound = order_unit_defect(op)
     return defect <= bound
 
 
@@ -151,7 +151,6 @@ def conditioned_probability(
     b2: Element,
     m_a: OperationMap,
     m_star: OperationMap,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Probability of the selective branch given preparation and post-selection.
 
@@ -159,7 +158,7 @@ def conditioned_probability(
     means the post-selection is incompatible with the non-selective branch.
     """
     return _pairing_ratio(
-        b2, apply_operation(m_a, b1), apply_operation(m_star, b1), tol,
+        b2, apply_operation(m_a, b1), apply_operation(m_star, b1), DEFAULT_TOL,
         "post-selection is incompatible: the non-selective branch has "
         "vanishing overlap with the final boundary condition",
     )
@@ -270,22 +269,20 @@ def _branch(b: Element, spec: MeasurementSpec, outcome: str, tol: float) -> tupl
     return image, inner(unit_element(b.space), image)
 
 
-def predict(
-    b: Element, spec: MeasurementSpec, outcome: str, tol: float = DEFAULT_TOL
-) -> float:
+def predict(b: Element, spec: MeasurementSpec, outcome: str) -> float:
     """Probability of one outcome on a normalized state.
 
     Evaluates the pairing of the order unit with the selected branch.  The
     state must come in normalized; this function does not renormalize.
     """
-    return _branch(b, spec, outcome, tol)[1]
+    return _branch(b, spec, outcome, DEFAULT_TOL)[1]
 
 
-def update_state(b: Element, m_a: OperationMap, tol: float = DEFAULT_TOL) -> Element:
+def update_state(b: Element, m_a: OperationMap) -> Element:
     """Renormalized state after a selective operation fired."""
     image = apply_operation(m_a, b)
     return _condition(
-        b, image, inner(unit_element(b.space), image), tol,
+        b, image, inner(unit_element(b.space), image), DEFAULT_TOL,
         "cannot condition on an outcome of probability zero",
     )
 
@@ -565,14 +562,11 @@ def run_sequence(
 
 
 def check_positivity_sampled(
-    op: OperationMap,
-    rng: np.random.Generator,
-    samples: int = 1000,
-    tol: float = DEFAULT_TOL,
+    op: OperationMap, rng: np.random.Generator, samples: int = 1000
 ) -> bool:
     """Whether the map sends sampled cone elements into the cone."""
     for _ in range(samples):
         x = sample_cone(op.space, rng)
-        if not is_positive(apply_operation(op, x), tol):
+        if not is_positive(apply_operation(op, x)):
             return False
     return True

@@ -109,10 +109,7 @@ def pair(p: ProbeFunctional, x: Element) -> float:
 
 
 def outcome_probability(
-    p_a: ProbeFunctional,
-    p_star: ProbeFunctional,
-    x: Element,
-    tol: float = DEFAULT_TOL,
+    p_a: ProbeFunctional, p_star: ProbeFunctional, x: Element
 ) -> float:
     """Elementary probability: the ratio of the outcome pairing to the
     reference pairing.
@@ -121,7 +118,7 @@ def outcome_probability(
     reference probe assigns no weight to cannot condition anything.
     """
     denom = pair(p_star, x)
-    if denom <= scaled_tol(tol, x.coords):
+    if denom <= scaled_tol(DEFAULT_TOL, x.coords):
         raise IncompatibleBoundaryError(
             "reference probe pairs to zero with this boundary condition"
         )
@@ -269,25 +266,20 @@ def transparent_probe(
     return ProbeFunctional((initial, final), coeffs, proper=True)
 
 
-def certify_proper(
-    p: ProbeFunctional,
-    rng: np.random.Generator | None = None,
-    samples: int = 1000,
-    tol: float = DEFAULT_TOL,
-) -> ProbeFunctional:
+def certify_proper(p: ProbeFunctional) -> ProbeFunctional:
     """Sample product cone elements; flag the probe proper if none pairs negative.
 
-    This is a certification by sampling, not a decision procedure: product
-    states of the factor cones are drawn at random and the probe must stay
-    above ``-tol`` (scaled) on all of them.
+    This is a certification by sampling, not a decision procedure: 1000
+    product states of the factor cones are drawn from a generator seeded
+    with 7, and the probe must stay above ``-DEFAULT_TOL`` (scaled) on all
+    of them.
     """
-    if rng is None:
-        rng = np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     weights = p._product_weights
-    for _ in range(samples):
+    for _ in range(1000):
         coords = reduce(np.kron, [sample_cone(f, rng).coords for f in p.boundary])
         value = float(p.coeffs @ (weights * coords))
-        if value < -scaled_tol(tol, coords):
+        if value < -scaled_tol(DEFAULT_TOL, coords):
             raise NotInConeError(
                 f"probe paired negatively ({value:.3e}) with a sampled product state"
             )

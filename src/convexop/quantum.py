@@ -156,11 +156,12 @@ def apply_kraus(kraus: KrausSet, b: Element) -> Element:
             f"matrix size {mat.shape[0]} does not match Kraus size {kraus.d}"
         )
     ops = np.stack(kraus.operators)
-    return from_matrix(b.space, np.einsum("rij,jk,rlk->il", ops, mat, ops.conj()))
+    image = np.einsum("rij,jk,rlk->il", ops, mat, ops.conj())
+    return Element(b.space, np.real(complex_coords(image)))
 
 
-def kraus_nonselective_check(kraus: KrausSet, tol: float = 1e-10) -> bool:
-    """Whether the Kraus operators resolve the identity.
+def kraus_nonselective_check(kraus: KrausSet) -> bool:
+    """Whether the Kraus operators resolve the identity, within ``1e-10``.
 
     The operator identity ``sum_i K_i^dagger K_i = 1`` is exactly the
     condition for the induced map to preserve traces, hence the pairing
@@ -168,7 +169,7 @@ def kraus_nonselective_check(kraus: KrausSet, tol: float = 1e-10) -> bool:
     """
     ops = np.stack(kraus.operators)
     total = np.einsum("rji,rjk->ik", ops.conj(), ops)
-    return bool(np.abs(total - np.eye(kraus.d)).max() <= tol)
+    return bool(np.abs(total - np.eye(kraus.d)).max() <= 1e-10)
 
 
 def kraus_operation(
@@ -290,18 +291,18 @@ def spectral_measurement(
     return MeasurementSpec(name=name, outcomes=outcomes), decomposition
 
 
-def _require_projector(p: np.ndarray, tol: float) -> np.ndarray:
+def _require_projector(p: np.ndarray) -> np.ndarray:
     p = require_hermitian(p)
     scale = max(1.0, float(np.abs(p).max()))
-    if np.abs(p @ p - p).max() > tol * scale:
+    if np.abs(p @ p - p).max() > DEFAULT_TOL * scale:
         raise NotProjectorError("matrix is not idempotent within tolerance")
     return p
 
 
-def born(b: Element, p_k: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def born(b: Element, p_k: np.ndarray) -> float:
     """Outcome probability ``tr(P_k b)`` for a unit-trace state."""
     mat = to_matrix(b)
-    p_k = _require_projector(p_k, tol)
+    p_k = _require_projector(p_k)
     return float(np.real(np.einsum("ij,ji->", p_k, mat)))
 
 
@@ -310,19 +311,19 @@ def born_pure(psi, eta) -> float:
     return float(np.abs(np.vdot(_amplitudes(eta), _amplitudes(psi))) ** 2)
 
 
-def luders(b: Element, p_k: np.ndarray, tol: float = DEFAULT_TOL) -> Element:
+def luders(b: Element, p_k: np.ndarray) -> Element:
     """State after conditioning on a projector: renormalized sandwich."""
     mat = to_matrix(b)
-    p_k = _require_projector(p_k, tol)
+    p_k = _require_projector(p_k)
     weight = float(np.real(np.einsum("ij,ji->", p_k, mat)))
-    if weight <= tol:
+    if weight <= DEFAULT_TOL:
         raise ZeroProbabilityError(
             "cannot condition on a projector of probability zero"
         )
-    return from_matrix(b.space, (p_k @ mat @ p_k) / weight)
+    return Element(b.space, np.real(complex_coords((p_k @ mat @ p_k) / weight)))
 
 
-def luders_pure(psi, p_k: np.ndarray, tol: float = DEFAULT_TOL) -> StateVector:
+def luders_pure(psi, p_k: np.ndarray) -> StateVector:
     """Pure-state conditioning: project, renormalize, fix the phase.
 
     The phase convention makes the largest-modulus amplitude real and
@@ -330,10 +331,10 @@ def luders_pure(psi, p_k: np.ndarray, tol: float = DEFAULT_TOL) -> StateVector:
     same state.
     """
     amps = _amplitudes(psi)
-    p_k = _require_projector(p_k, tol)
+    p_k = _require_projector(p_k)
     image = p_k @ amps
     weight = float(np.real(np.vdot(image, image)))
-    if weight <= tol:
+    if weight <= DEFAULT_TOL:
         raise ZeroProbabilityError(
             "cannot condition on a projector of probability zero"
         )
@@ -351,9 +352,10 @@ def hamiltonian_evolution(
     h: np.ndarray, space: ModelSpace | None = None
 ) -> EvolutionGroup:
     """Continuous evolution group of unitary conjugations generated by ``h``."""
-    h = require_hermitian(h)
-    if space is None:
-        space = make_quantum_space(h.shape[0])
+    h = np.asarray(h, dtype=complex)
+    if space is None:  # the group rejects a matrix that is not square
+        square = h.ndim == 2 and h.shape[0] == h.shape[1]
+        space = make_quantum_space(h.shape[0] if square else 1)
     return EvolutionGroup(space=space, kind="hamiltonian", hamiltonian=h)
 
 

@@ -23,7 +23,8 @@ Measurement forms
 
 Without an explicit ``parent`` the parent operation is the sum of the
 outcome maps.  A ``measure`` node repeated through YAML aliases or merge
-keys is bound, and so validated, once.  A quantum ``model.d`` may be at
+keys is bound, and so validated, once; mappings under other names that
+alias its form payload share its maps.  A quantum ``model.d`` may be at
 most :data:`MAX_QUANTUM_DIM`, and YAML collections nest at most
 :data:`MAX_NESTING` levels deep.
 """
@@ -34,7 +35,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -461,13 +462,10 @@ def _square(rows, n: int, where: str, convert=_to_complex_matrix) -> np.ndarray:
 class BoundScenario:
     """A document resolved against a concrete model space."""
 
-    doc: ScenarioDoc
     space: object
-    kind: str
     initial: Element
     steps: tuple
     post_selection: Element | None
-    group: object
 
 
 #: Form of a state, evolution or measurement -> the model kind it needs;
@@ -600,7 +598,7 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
         raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
-def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
+def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
     """Resolve a document against a concrete space; semantic errors raise."""
     model = doc.model
     kind = model["kind"]
@@ -630,9 +628,10 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
         group = _bind_evolution(space, kind, doc.evolution)
 
     steps = []
-    # one spec per name, form payload and parent: aliases and merge-key copies
-    # of a measure node hold the same payload objects, so they bind once
-    specs = {}
+    # one set of maps per form payload and parent, and one spec per name on
+    # top: aliases and merge-key copies of a measure node hold the same
+    # payload objects, so their maps are built once however they are named
+    tables, specs = {}, {}
     for k, raw in enumerate(doc.steps):
         where = f"steps[{k}]"
         if "evolve" in raw:
@@ -647,10 +646,13 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
             continue
         payload = raw["measure"]
         form = next(key for key in MEASURE_FORMS if key in payload)
-        key = (payload["name"], form, id(payload[form]), id(payload.get("parent")))
-        spec = specs.get(key)
+        key = (form, id(payload[form]), id(payload.get("parent")))
+        name = payload["name"]
+        spec = specs.get((name, key))
         if spec is None:
-            spec = specs[key] = _bind_measure(space, kind, payload, f"{where}.measure")
+            if key not in tables:
+                tables[key] = _bind_measure(space, kind, payload, f"{where}.measure")
+            spec = specs[name, key] = replace(tables[key], name=name)
         outcome = payload["outcome"]
         if outcome != UNOBSERVED and outcome not in spec.outcomes:
             raise ScenarioValidationError(
@@ -664,13 +666,7 @@ def bind_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> BoundScenario:
         post = _bind_state(space, kind, doc.post_selection, "post_selection")
 
     return BoundScenario(
-        doc=doc,
-        space=space,
-        kind=kind,
-        initial=initial,
-        steps=tuple(steps),
-        post_selection=post,
-        group=group,
+        space=space, initial=initial, steps=tuple(steps), post_selection=post
     )
 
 
@@ -705,7 +701,7 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
     parent, the order-unit normalization of every parent, and complete
     positivity of every quantum operation.
     """
-    bound = source if isinstance(source, BoundScenario) else bind_scenario(source, tol)
+    bound = source if isinstance(source, BoundScenario) else bind_scenario(source)
     checks = [_cone_check(bound.initial, "initial", tol)]
     total = inner(unit_element(bound.space), bound.initial)
     checks.append(
@@ -727,10 +723,15 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
             checks.append(
                 CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
             )
-    for spec in specs if bound.kind == "quantum" else []:
+    # by map, since specs of one payload under other names share their maps;
+    # a report keeps its verdict, not its d**4 Choi matrix
+    reports = {}
+    for spec in specs if bound.space.cone_kind == "psd" else []:
         # the outcomes in order, then the parent: the goldens pin this order
         for label, op in (*spec.outcomes.items(), ("parent", spec.parent)):
-            report = choi_cp_check(op, tol)
+            if op not in reports:
+                reports[op] = choi_cp_check(op, tol)._replace(choi=None)
+            report = reports[op]
             checks.append(CheckResult(
                 "complete_positivity", f"{spec.name}:{label}", report.is_cp,
                 f"min Choi eigenvalue {report.min_eigenvalue:.6e}",
@@ -787,7 +788,7 @@ def run_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> RunReport:
     documents may give unnormalized cone elements such as plain weights.
     Any validation failure aborts the run.
     """
-    bound = bind_scenario(doc, tol)
+    bound = bind_scenario(doc)
     checks = validate_scenario(bound, tol)
     failed = [c for c in checks if not c.passed]
     if failed:

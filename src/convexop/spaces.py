@@ -276,13 +276,13 @@ def leq(b: Element, c: Element, tol: float = DEFAULT_TOL) -> bool:
     return is_positive(c - b, tol)
 
 
-def order_unit_lambda(b: Element, tol: float = DEFAULT_TOL) -> float:
+def order_unit_lambda(b: Element) -> float:
     """Least ``lam >= 0`` with ``b <= lam * e`` for a cone element ``b``.
 
     componentwise: the largest ratio of coordinate to unit entry; psd: the
     largest eigenvalue, the unit being the identity.
     """
-    if not is_positive(b, tol):
+    if not is_positive(b):
         raise NotInConeError(
             f"element of {b.space.space_id!r} is not in the cone"
         )
@@ -335,14 +335,12 @@ def tensor_element(b: Element, c: Element) -> Element:
     return Element(product_space(b.space, c.space), np.kron(b.coords, c.coords))
 
 
-def sample_cone(
-    space: ModelSpace, rng: np.random.Generator, scale: float = 1.0
-) -> Element:
+def sample_cone(space: ModelSpace, rng: np.random.Generator) -> Element:
     """Draw a random cone element (componentwise or psd spaces only)."""
     if space.cone_kind == "componentwise":
-        return Element(space, scale * rng.uniform(0.0, 1.0, size=space.dim))
+        return Element(space, rng.uniform(0.0, 1.0, size=space.dim))
     if space.cone_kind == "psd":
-        return Element(space, matrix_to_coords(random_psd(space.psd_dim, rng, scale)))
+        return Element(space, matrix_to_coords(random_psd(space.psd_dim, rng)))
     raise UnsupportedSpaceError(
         "cone sampling is only defined for componentwise and psd spaces"
     )
