@@ -10,8 +10,9 @@ Subcommands
 
 Exit codes: 0 success, 1 standard output closed before the report was
 written, 2 unreadable or malformed input (syntax, schema, unknown flags),
-3 semantically invalid input or failed validation checks, 4 conditioning on
-a zero-probability outcome, 5 internal error.
+3 semantically invalid input, failed validation checks or arithmetic that
+leaves the float range, 4 conditioning on a zero-probability outcome,
+5 internal error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -171,7 +174,10 @@ def main(argv=None) -> int:
     if getattr(args, "report", None) and files is not None and len(files) > 1:
         parser.error("--report requires a single input file")
     try:
-        code = args.handler(args)
+        # arithmetic on a file's numbers that leaves the float range stops the
+        # run, so no inf or NaN is carried into a report
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -186,6 +192,9 @@ def main(argv=None) -> int:
         return EXIT_CONDITIONING
     except ConvexOpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except FloatingPointError as exc:
+        print(f"error: the input's numbers leave the float range: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -651,7 +651,10 @@ def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
         spec = specs.get((name, key))
         if spec is None:
             if key not in tables:
-                tables[key] = _bind_measure(space, kind, payload, f"{where}.measure")
+                # maps whose entries overflow keep their inf and NaN entries,
+                # for the validation checks to reject by name
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tables[key] = _bind_measure(space, kind, payload, f"{where}.measure")
             spec = specs[name, key] = replace(tables[key], name=name)
         outcome = payload["outcome"]
         if outcome != UNOBSERVED and outcome not in spec.outcomes:
@@ -702,43 +705,47 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
     positivity of every quantum operation.
     """
     bound = source if isinstance(source, BoundScenario) else bind_scenario(source)
-    checks = [_cone_check(bound.initial, "initial", tol)]
-    total = inner(unit_element(bound.space), bound.initial)
-    checks.append(
-        CheckResult(
-            "normalizable",
-            "initial",
-            total > scaled_tol(tol, bound.initial.coords),
-            f"order-unit pairing {total:.6e}",
-        )
-    )
-    specs = list({
-        id(step.spec): step.spec for step in bound.steps if isinstance(step, MeasureStep)
-    }.values())
-    for spec in specs:
-        for check, (defect, limit), what in (
-            ("completeness", completeness_gap(spec, tol), "max deviation"),
-            ("causality", order_unit_defect(spec.parent, tol), "order-unit defect"),
-        ):
-            checks.append(
-                CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
+    # arithmetic that overflows leaves an inf or NaN that fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = [_cone_check(bound.initial, "initial", tol)]
+        total = inner(unit_element(bound.space), bound.initial)
+        checks.append(
+            CheckResult(
+                "normalizable",
+                "initial",
+                math.isfinite(total) and total > scaled_tol(tol, bound.initial.coords),
+                f"order-unit pairing {total:.6e}",
             )
-    # by map, since specs of one payload under other names share their maps;
-    # a report keeps its verdict, not its d**4 Choi matrix
-    reports = {}
-    for spec in specs if bound.space.cone_kind == "psd" else []:
-        # the outcomes in order, then the parent: the goldens pin this order
-        for label, op in (*spec.outcomes.items(), ("parent", spec.parent)):
-            if op not in reports:
-                reports[op] = choi_cp_check(op, tol)._replace(choi=None)
-            report = reports[op]
-            checks.append(CheckResult(
-                "complete_positivity", f"{spec.name}:{label}", report.is_cp,
-                f"min Choi eigenvalue {report.min_eigenvalue:.6e}",
-            ))
-    if bound.post_selection is not None:
-        checks.append(_cone_check(bound.post_selection, "post_selection", tol))
-    return tuple(checks)
+        )
+        specs = list({
+            id(step.spec): step.spec
+            for step in bound.steps
+            if isinstance(step, MeasureStep)
+        }.values())
+        for spec in specs:
+            for check, (defect, limit), what in (
+                ("completeness", completeness_gap(spec, tol), "max deviation"),
+                ("causality", order_unit_defect(spec.parent, tol), "order-unit defect"),
+            ):
+                checks.append(
+                    CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
+                )
+        # by map, since specs of one payload under other names share their maps;
+        # a report keeps its verdict, not its d**4 Choi matrix
+        reports = {}
+        for spec in specs if bound.space.cone_kind == "psd" else []:
+            # the outcomes in order, then the parent: the goldens pin this order
+            for label, op in (*spec.outcomes.items(), ("parent", spec.parent)):
+                if op not in reports:
+                    reports[op] = choi_cp_check(op, tol)._replace(choi=None)
+                report = reports[op]
+                checks.append(CheckResult(
+                    "complete_positivity", f"{spec.name}:{label}", report.is_cp,
+                    f"min Choi eigenvalue {report.min_eigenvalue:.6e}",
+                ))
+        if bound.post_selection is not None:
+            checks.append(_cone_check(bound.post_selection, "post_selection", tol))
+        return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -289,3 +289,23 @@ def test_kraus_map_whose_choi_matrix_overflows_fails_validation(tmp_path):
         assert code == 3 and "complete_positivity on 'f:t'" in err
         assert run_text(tmp_path, text, "validate") == (
             3, "error: validation checks failed\n")
+
+
+def test_state_whose_pairing_overflows_is_not_normalizable(tmp_path):
+    # found by the huge-number mutation: an inf pairing passed the check
+    text = (
+        "model: {kind: classical, n: 3, mu: [1, 9223372036854775808, 1]}\n"
+        "initial: {values: [1, 1.7976931348623157e+308, 1]}\nsteps: []\n"
+    )
+    code, err = run_text(tmp_path, text, "run")
+    assert code == 3 and err == (
+        "error: validation failed: normalizable on 'initial' (order-unit pairing inf)\n")
+    assert run_text(tmp_path, text, "validate") == (3, "error: validation checks failed\n")
+
+
+def test_state_whose_norm_overflows_is_invalid(tmp_path):
+    text = "model: {kind: quantum, d: 2}\ninitial: {pure: [1.0e+200, 0]}\nsteps: []\n"
+    for command in ("run", "validate"):
+        assert run_text(tmp_path, text, command) == (3, (
+            "error: the input's numbers leave the float range: "
+            "overflow encountered in dot\n"))
