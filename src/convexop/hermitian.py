@@ -75,7 +75,9 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SpaceMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
+    if not mat.size:
+        raise ValueError("matrix dimension must be positive")
+    scale = max(1.0, float(np.abs(mat).max()))
     # fails for a NaN entry, and for an inf one before the difference warns
     if not (scale < np.inf and np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")

@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .classical import (
     PhaseSpace,
@@ -98,7 +100,9 @@ MAX_NESTING = 5000
 #
 # Each combinator below returns a checker ``check(value, path)`` that raises
 # ScenarioSchemaError on the first violation, walking fields in declaration
-# order.  The empty path is the document root.
+# order.  The empty path is the document root.  A leaf checker also carries
+# ``check.accepts(value)``, true exactly where it passes: lists and matrix
+# rows test their entries with it and build an entry's path only to report it.
 
 def _fail(path: str, message: str):
     raise ScenarioSchemaError(f"{path or 'document'}: {message}")
@@ -113,10 +117,14 @@ def _mapping(value, path: str) -> dict:
 def _instance(types, noun: str):
     """Leaf holding a value of ``types``; booleans never count as numbers."""
 
+    def accepts(value) -> bool:
+        return isinstance(value, types) and not isinstance(value, bool)
+
     def check(value, path: str) -> None:
-        if isinstance(value, bool) or not isinstance(value, types):
+        if not accepts(value):
             _fail(path, f"expected {noun}")
 
+    check.accepts = accepts
     return check
 
 
@@ -125,11 +133,21 @@ _string = _instance(str, "a string")
 _number = _instance((int, float), "a real number")
 
 
+def _is_real(value) -> bool:
+    # false for inf, nan and an integer beyond the float range alike
+    return _number.accepts(value) and abs(value) <= sys.float_info.max
+
+
 def _real(value, path: str) -> None:
     _number(value, path)
-    # false for inf, nan and an integer beyond the float range alike
-    if not abs(value) <= sys.float_info.max:
+    if not _is_real(value):
         _fail(path, "expected a finite number")
+
+
+def _is_complex(value) -> bool:
+    if not isinstance(value, list):
+        return _is_real(value)
+    return len(value) == 2 and _is_real(value[0]) and _is_real(value[1])
 
 
 def _complex(value, path: str) -> None:
@@ -141,28 +159,36 @@ def _complex(value, path: str) -> None:
     _real(value[1], f"{path}[1]")
 
 
+_real.accepts = _is_real
+_complex.accepts = _is_complex
+
+
 def _matrix(entry):
-    """Nonempty list of nonempty, equally long rows of ``entry`` values."""
+    """Nonempty list of nonempty, equally long rows of ``entry`` leaves."""
 
     def check(value, path: str) -> None:
         if not isinstance(value, list) or not value:
             _fail(path, "expected a nonempty list of rows")
         for r, row in enumerate(value):
-            where = f"{path}[{r}]"
             if not isinstance(row, list) or not row:
-                _fail(where, "expected a nonempty row")
+                _fail(f"{path}[{r}]", "expected a nonempty row")
             if len(row) != len(value[0]):
-                _fail(where, "rows have unequal lengths")
-            for c, item in enumerate(row):
-                entry(item, f"{where}[{c}]")
+                _fail(f"{path}[{r}]", "rows have unequal lengths")
+            if not all(map(entry.accepts, row)):
+                for c, item in enumerate(row):
+                    entry(item, f"{path}[{r}][{c}]")
 
     return check
 
 
 def _list(noun: str, item, nonempty: bool = False):
+    accepts = getattr(item, "accepts", None)  # only leaves carry a predicate
+
     def check(value, path: str) -> None:
         if not isinstance(value, list) or (nonempty and not value):
             _fail(path, f"expected a {noun}")
+        if accepts is not None and all(map(accepts, value)):
+            return
         for k, entry in enumerate(value):
             item(entry, f"{path}[{k}]")
 
@@ -315,14 +341,54 @@ class ScenarioDoc:
     seed: int | None = None
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+#: A plain decimal literal: an integer without leading zeros, and for a
+#: float a dot, digits and an optional signed exponent.  On these texts YAML
+#: 1.1 and Python's ``int()`` and ``float()`` give the same value; every other
+#: number form (octal, "_", "0x", "0b", sexagesimal, ".inf", ".nan") is left
+#: to PyYAML.
+_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+][0-9]+)?)?")
+
+_INT_TAG = "tag:yaml.org,2002:int"
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_NUMBER_TYPES = {_INT_TAG: int, _FLOAT_TAG: float}
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _Loader(_SAFE_LOADER):
     """Safe YAML loading, through libyaml where PyYAML has it, that rejects
-    a key repeated in one mapping instead of keeping its last value."""
+    a key repeated in one mapping instead of keeping its last value.
+
+    Plain decimal literals (:data:`_DECIMAL`) are resolved and, inside a
+    sequence, constructed without PyYAML's per-scalar Python path; the data
+    is the same as ``yaml.SafeLoader`` gives.
+    """
+
+    def resolve(self, kind, value, implicit):
+        if kind is ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
+            return _FLOAT_TAG if "." in value else _INT_TAG
+        # named, not super(): building a super object per scalar costs a
+        # mapping-heavy document more than the regex above saves it
+        return _SAFE_LOADER.resolve(self, kind, value, implicit)
+
+    def construct_sequence(self, node, deep=False):
+        if not isinstance(node, SequenceNode):
+            return super().construct_sequence(node, deep=deep)
+        items = []
+        for child in node.value:
+            convert = _NUMBER_TYPES.get(child.tag)
+            # an explicit "!!int 1.5" keeps PyYAML's error; "!!float 2" is 2.0
+            if convert is not None and isinstance(child, ScalarNode):
+                text = child.value
+                if _DECIMAL.fullmatch(text) and (convert is float or "." not in text):
+                    items.append(convert(text))
+                    continue
+            items.append(self.construct_object(child, deep=deep))
+        return items
 
     def construct_mapping(self, node, deep=False):
         seen = set()
         # a node of another kind is left to the base constructor to report
-        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+        for key_node, _ in node.value if isinstance(node, MappingNode) else ():
             if key_node.tag == "tag:yaml.org,2002:merge":
                 continue
             key = self.construct_object(key_node, deep=deep)

@@ -15,6 +15,12 @@ from convexop.hermitian import (
     random_unitary,
     require_hermitian,
 )
+from convexop.quantum import (
+    from_matrix,
+    hamiltonian_evolution,
+    make_quantum_space,
+    spectral_measurement,
+)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -98,3 +104,18 @@ def test_basis_is_cached_and_read_only():
     assert hermitian_basis(2) is basis
     with pytest.raises(ValueError):
         basis[0, 0, 0] = 1.0
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: require_hermitian(EMPTY),
+    lambda: from_matrix(make_quantum_space(1), EMPTY),
+    lambda: spectral_measurement(EMPTY),
+    lambda: hamiltonian_evolution(EMPTY),
+], ids=["require_hermitian", "from_matrix", "spectral_measurement", "hamiltonian_evolution"])
+def test_empty_matrix_has_the_library_message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "matrix dimension must be positive"
