@@ -30,7 +30,7 @@ from .errors import (
     ZeroStateError,
 )
 from .hermitian import (
-    basis_expand,
+    choi_scratch,
     complex_coords,
     coords_to_matrix,
     kraus_matrix,
@@ -208,22 +208,16 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
     ``d**2 x d**2`` Hermitian block matrix, and the map is completely
     positive exactly when that matrix is positive semidefinite.
     """
-    d = _require_psd_space(op.space)
-    # images[i, j, a]: the image of each storage basis element B_a
-    images = basis_expand(op.matrix)
-    # units[j, i] = image of the matrix unit E_ij, using the complex
-    # expansion E_ij = sum_a B_a[j, i] B_a
-    units = basis_expand(images.reshape(d * d, d * d).T).reshape(d, d, d, d)
-    choi = units.transpose(2, 1, 3, 0).reshape(d * d, d * d)
-    # a real map on coordinates gives a Hermitian Choi matrix, so it is not
-    # checked; the mean makes the triangle eigvalsh reads agree with the other
-    choi = (choi + choi.conj().T) / 2.0
+    _require_psd_space(op.space)
+    choi = choi_scratch(op.matrix)
     try:
         min_eig = float(np.linalg.eigvalsh(choi).min())
     except np.linalg.LinAlgError:
         # the inf and NaN entries of a map that overflowed: not certified
         min_eig = float("nan")
-    return ChoiReport(choi, bool(min_eig >= -tol), min_eig)
+    # copied once the eigensolver has freed its own copy, whose memory the
+    # report's matrix then takes over
+    return ChoiReport(choi.copy(), bool(min_eig >= -tol), min_eig)
 
 
 # ---------------------------------------------------------------------------

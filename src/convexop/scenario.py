@@ -437,9 +437,10 @@ def _load_yaml(text: str):
         if mark is not None:
             raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1) from exc
         raise ScenarioSyntaxError(problem) from exc
-    except (ValueError, KeyError, AttributeError) as exc:
+    except (ValueError, KeyError, AttributeError, IndexError) as exc:
         # what PyYAML's scalar constructors raise on a value that does not fit
-        # its tag: "!!int abc", "!!bool maybe", "!!timestamp x", "2001-13-01"
+        # its tag: "!!int abc", "!!bool maybe", "!!timestamp x", "2001-13-01",
+        # and an empty "!!int" or "!!float" (they read its first character)
         raise ScenarioSyntaxError(f"unreadable scalar: {exc}") from exc
 
 

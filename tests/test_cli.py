@@ -328,3 +328,17 @@ def test_large_classical_document_runs_in_memory_linear_in_n(tmp_path):
     assert elapsed < 60.0
     assert max_rss_kib < 400 * 1024
     assert json.loads(report)["probability"] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("seed", ["!!int", '!!float ""'], ids=["int", "float"])
+def test_empty_tagged_number_is_an_unreadable_scalar(verb, seed, tmp_path, capsys):
+    doc = tmp_path / "seed.yaml"
+    doc.write_text(
+        "model: {kind: quantum, d: 2}\ninitial: {pure: [1, 0]}\nsteps: []\n"
+        f"seed: {seed}\n"
+    )
+    assert run_main(verb, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unreadable scalar: string index out of range\n"
