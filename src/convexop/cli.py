@@ -42,7 +42,7 @@ from .scenario import (
     run_scenario,
     validate_scenario,
 )
-from .spaces import DEFAULT_TOL, cone_margin
+from .spaces import DEFAULT_TOL, cone_margin, margin_passes
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -52,10 +52,24 @@ EXIT_CONDITIONING = 4
 EXIT_INTERNAL = 5
 
 
+def _float_in(low: float, high: float, rule: str):
+    """Argparse type for a float in ``[low, high]``; any other value, NaN
+    included, is a usage error (exit 2)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse names it in "invalid float value"
+    return parse
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_float_in(0.0, sys.float_info.max, "finite and nonnegative"),
         default=DEFAULT_TOL,
         help="numerical tolerance for checks (default %(default)g)",
     )
@@ -96,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     wit_parser.add_argument("input", help="file with matrices 'A' and 'B'")
     wit_parser.add_argument(
         "--grid-step",
-        type=float,
+        type=_float_in(0.02, 2.0, "in [0.02, 2]"),
         default=0.05,
         help="relative step of the dominator grid search (default %(default)g)",
     )
@@ -151,7 +165,7 @@ def _cmd_witness(args) -> int:
     ea, eb = (from_matrix(make_quantum_space(m.shape[0]), m) for m in (a, b))
     for name, x in (("A", ea), ("B", eb)):
         low = cone_margin(x)
-        if low < -args.tol:
+        if not margin_passes(low, x.coords, args.tol):
             raise ScenarioValidationError(
                 f"{name}: not positive semidefinite (min eigenvalue {low:.6e})"
             )

@@ -34,9 +34,12 @@ bytes, 1.3 MB at d=10 and 8.3 MB at d=16.  :func:`kraus_matrix` with ``r``
 operators adds ``2 n r d + r d**2`` entries.  Ownership:
 :func:`coords_to_matrix`, :func:`complex_coords`, :func:`basis_expand`,
 :func:`basis_pair` and :func:`kraus_matrix` return new arrays that the
-caller owns; :func:`choi_scratch` returns a view of the workspace, valid
-until the thread's next kernel call, which ``quantum.choi_cp_check``
-copies into its report.  No other array leaves the workspace.
+caller owns; ``quantum.kraus_operation`` and ``unitary_operation`` hand the
+one from :func:`kraus_matrix` to their map, which keeps it without a copy,
+so a map costs one array of ``d**4`` reals.  :func:`choi_scratch` returns a
+view of the workspace, valid until the thread's next kernel call, which
+``quantum.choi_cp_check`` copies into its report.  No other array leaves
+the workspace.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvexOpError, UnsupportedSpaceError
 from .quantum import from_matrix, to_matrix
-from .spaces import DEFAULT_TOL, Element, leq, require_same_space
+from .spaces import DEFAULT_TOL, Element, leq, margin_passes, require_same_space
 
 VERDICTS = ("less", "greater", "equal", "incomparable")
 
@@ -155,10 +155,8 @@ def _dominator_search(a, b, c1, c2, tol, grid_step):
     lexicographic order of (diagonal first entry, diagonal second entry,
     off-diagonal entry).
     """
-    scale = max(
-        float(np.abs(np.linalg.eigvalsh(a)).max()),
-        float(np.abs(np.linalg.eigvalsh(b)).max()),
-    )
+    spectra = np.concatenate((np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)))
+    scale = float(np.abs(spectra).max())
     steps = int(round(2.0 / grid_step))
     g = scale * (-1.0 + grid_step * np.arange(steps + 1))
     x, y, z = np.meshgrid(g, g, g, indexing="ij")
@@ -167,15 +165,13 @@ def _dominator_search(a, b, c1, c2, tol, grid_step):
     ok = np.ones(x.size, dtype=bool)
     # upper - C and C - lower must stay psd: sign * (bound - C) for each bound
     for bound, sign in ((a, 1.0), (b, 1.0), (c1, -1.0), (c2, -1.0)):
-        ok &= (
-            _eigmin_grid(
-                sign * (np.real(bound[0, 0]) - x),
-                sign * (np.real(bound[1, 1]) - y),
-                sign * (np.real(bound[0, 1]) - z),
-                sign * np.imag(bound[0, 1]) * np.ones_like(z),
-            )
-            >= -tol
+        low = _eigmin_grid(
+            sign * (np.real(bound[0, 0]) - x),
+            sign * (np.real(bound[1, 1]) - y),
+            sign * (np.real(bound[0, 1]) - z),
+            sign * np.imag(bound[0, 1]) * np.ones_like(z),
         )
+        ok &= margin_passes(low, spectra, tol)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return None

@@ -69,7 +69,17 @@ class OperationMap:
     def __init__(
         self, space: ModelSpace, matrix, selectivity: str = "selective"
     ) -> None:
-        entries = np.array(matrix, dtype=float)
+        self._hold(space, np.array(matrix, dtype=float), selectivity)
+
+    @classmethod
+    def _taking(cls, space: ModelSpace, entries: np.ndarray, selectivity: str):
+        """A map holding ``entries``, a new float array the caller made and no
+        longer uses, without the copy the constructor makes."""
+        op = cls.__new__(cls)
+        op._hold(space, entries, selectivity)
+        return op
+
+    def _hold(self, space: ModelSpace, entries: np.ndarray, selectivity: str) -> None:
         n = space.dim
         if entries.shape not in ((n,), (n, n)):
             raise SpaceMismatchError(
@@ -336,7 +346,7 @@ class EvolutionGroup:
             # for g = weights * unit means g is constant on every orbit
             g = self.space.weights * self.space.unit
             drift = float(np.abs(g[perm] - g).max())
-            if drift > 1e-12 * max(1.0, float(np.abs(g).max())):
+            if drift > scaled_tol(1e-12, g):
                 raise InvalidEvolutionError(
                     "permutation does not preserve the measure"
                 )

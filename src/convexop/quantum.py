@@ -38,7 +38,7 @@ from .hermitian import (
     require_hermitian,
 )
 from .operational import EvolutionGroup, MeasurementSpec, OperationMap
-from .spaces import DEFAULT_TOL, Element, ModelSpace
+from .spaces import DEFAULT_TOL, Element, ModelSpace, margin_passes, scaled_tol
 
 
 def make_quantum_space(d: int, space_id: str | None = None) -> ModelSpace:
@@ -191,7 +191,8 @@ def kraus_operation(
         selectivity = (
             "nonselective" if kraus_nonselective_check(kraus) else "selective"
         )
-    return OperationMap(space, kraus_matrix(np.stack(kraus.operators)), selectivity)
+    # the map keeps the array kraus_matrix returns: one d**4 copy per map
+    return OperationMap._taking(space, kraus_matrix(np.stack(kraus.operators)), selectivity)
 
 
 class ChoiReport(NamedTuple):
@@ -211,13 +212,14 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
     _require_psd_space(op.space)
     choi = choi_scratch(op.matrix)
     try:
-        min_eig = float(np.linalg.eigvalsh(choi).min())
+        spectrum = np.linalg.eigvalsh(choi)
     except np.linalg.LinAlgError:
         # the inf and NaN entries of a map that overflowed: not certified
-        min_eig = float("nan")
+        spectrum = np.array([np.nan])
+    min_eig = float(spectrum.min())
     # copied once the eigensolver has freed its own copy, whose memory the
     # report's matrix then takes over
-    return ChoiReport(choi.copy(), bool(min_eig >= -tol), min_eig)
+    return ChoiReport(choi.copy(), margin_passes(min_eig, spectrum, tol), min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +289,7 @@ def spectral_measurement(
 
 def _require_projector(p: np.ndarray) -> np.ndarray:
     p = require_hermitian(p)
-    scale = max(1.0, float(np.abs(p).max()))
-    if np.abs(p @ p - p).max() > DEFAULT_TOL * scale:
+    if np.abs(p @ p - p).max() > scaled_tol(DEFAULT_TOL, p):
         raise NotProjectorError("matrix is not idempotent within tolerance")
     return p
 
@@ -361,7 +362,7 @@ def unitary_operation(space: ModelSpace, u: np.ndarray) -> OperationMap:
         raise UnsupportedSpaceError(f"unitary shape {u.shape} does not fit size {d}")
     if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
-    return OperationMap(space, kraus_matrix(u[np.newaxis]), "nonselective")
+    return OperationMap._taking(space, kraus_matrix(u[np.newaxis]), "nonselective")
 
 
 def _rk4(f, y, t: float, dt: float):

@@ -26,7 +26,8 @@ outcome maps.  A ``measure`` node repeated through YAML aliases or merge
 keys is bound, and so validated, once; mappings under other names that
 alias its form payload share its maps.  A quantum ``model.d`` may be at
 most :data:`MAX_QUANTUM_DIM`, and YAML collections nest at most
-:data:`MAX_NESTING` levels deep.
+:data:`MAX_NESTING` levels deep, with at most :data:`MAX_NESTING_WORK` of
+nesting work (the open depth summed over the parse events).
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from .spaces import (
     Element,
     cone_margin,
     inner,
+    margin_passes,
     normalize_state,
     scaled_tol,
     unit_element,
@@ -93,6 +95,11 @@ MAX_QUANTUM_DIM = 16
 #: Deepest nesting of YAML collections, checked before a document is composed:
 #: libyaml's composer recurses in C and overflows its stack near 30,000 levels.
 MAX_NESTING = 5000
+
+#: Most nesting work a document may ask of the loader: the open depth summed
+#: over its parse events.  One collection nested 4,999 levels deep is about
+#: 25 million; many deep collections side by side pass the bound quickly.
+MAX_NESTING_WORK = 2 * MAX_NESTING**2
 
 # ---------------------------------------------------------------------------
 # schema (shape and type only; semantics live in bind_scenario)
@@ -406,25 +413,29 @@ class _Loader(_SAFE_LOADER):
 
 
 def _check_nesting(text: str) -> None:
-    """Reject collections nested deeper than :data:`MAX_NESTING`."""
+    """Reject collections nested deeper than :data:`MAX_NESTING`, or whose
+    nesting work passes :data:`MAX_NESTING_WORK`."""
     # a level opens at a "{", a "- " or "? " indicator or a line break, or at
     # a "[", which may open a single-pair mapping inside it too
     breaks = sum(map(text.count, ("\n", "\r", "\x85", "\u2028", "\u2029")))
     indicators = text.count("{") + text.count("- ") + text.count("? ")
     if 2 * text.count("[") + indicators + breaks + 1 <= MAX_NESTING:
         return
-    depth = 0
+    depth = work = 0
     for event in yaml.parse(text, Loader=_Loader):
         if isinstance(event, (yaml.SequenceStartEvent, yaml.MappingStartEvent)):
             depth += 1
-            if depth > MAX_NESTING:
-                mark = event.start_mark
-                raise ScenarioSyntaxError(
-                    f"collections nested deeper than {MAX_NESTING} levels",
-                    mark.line + 1, mark.column + 1,
-                )
         elif isinstance(event, (yaml.SequenceEndEvent, yaml.MappingEndEvent)):
             depth -= 1
+        work += depth
+        if depth > MAX_NESTING:
+            problem = f"collections nested deeper than {MAX_NESTING} levels"
+        elif work > MAX_NESTING_WORK:
+            problem = f"collections too deep in all: nesting work passes {MAX_NESTING_WORK:,}"
+        else:
+            continue
+        mark = event.start_mark
+        raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
 
 
 def _load_yaml(text: str):
@@ -758,7 +769,7 @@ def _cone_check(element: Element, target: str, tol: float) -> CheckResult:
     return CheckResult(
         "cone_membership",
         target,
-        low >= -scaled_tol(tol, element.coords),
+        margin_passes(low, element.coords, tol),
         f"{what} {low:.6e}",
     )
 

@@ -49,6 +49,11 @@ def scaled_tol(tol: float, coords: np.ndarray) -> float:
     return tol * max(1.0, peak)
 
 
+def margin_passes(margin, coords: np.ndarray, tol: float):
+    """The positivity verdict ``margin >= -scaled_tol(tol, coords)``, elementwise."""
+    return margin >= -scaled_tol(tol, coords)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ModelSpace:
     """An ordered real vector space with inner product and order unit.
@@ -107,8 +112,7 @@ class ModelSpace:
                 f"unit length {unit.shape} does not fit dimension {dim}"
             )
         if weights.ndim == 2:
-            scale = max(1.0, float(np.abs(weights).max()))
-            if np.abs(weights - weights.T).max() > 1e-12 * scale:
+            if np.abs(weights - weights.T).max() > scaled_tol(1e-12, weights):
                 raise ValueError("metric must be symmetric")
             off_diagonal = weights.copy()
             np.fill_diagonal(off_diagonal, 0.0)
@@ -265,9 +269,8 @@ def cone_margin(b: Element) -> float:
 
 
 def is_positive(b: Element, tol: float = DEFAULT_TOL) -> bool:
-    """Cone membership up to the scaled tolerance: ``cone_margin(b) >= -tol``."""
-    eff = scaled_tol(tol, b.coords)
-    return cone_margin(b) >= -eff
+    """Cone membership up to the scaled tolerance, by :func:`margin_passes`."""
+    return margin_passes(cone_margin(b), b.coords, tol)
 
 
 def leq(b: Element, c: Element, tol: float = DEFAULT_TOL) -> bool:

@@ -8,6 +8,7 @@ one rule rejects a time step whose phases overflow on every evolution path.
 """
 
 import inspect
+import pathlib
 import subprocess
 import sys
 import time
@@ -45,6 +46,7 @@ from convexop.quantum import (
 )
 from convexop.scenario import (
     MAX_NESTING,
+    MAX_NESTING_WORK,
     bind_scenario,
     parse_scenario_text,
     validate_scenario,
@@ -372,3 +374,34 @@ def test_compose_without_a_basis_matches_the_identity_basis_bit_for_bit(seed):
     q = ProbeFunctional(q_boundary, rng.normal(size=right.dim * shared.dim))
     plain = compose(p, q, "s").coeffs
     assert np.array_equal(plain, compose(p, q, "s", basis=np.eye(shared.dim)).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# nesting work: deep collections side by side are refused early
+# ---------------------------------------------------------------------------
+
+BAD_MU = pathlib.Path(__file__).resolve().parent.parent / "scenarios/malformed/bad_mu.yaml"
+
+
+def _fanned_out(entries: int, levels: int) -> str:
+    # bad_mu.yaml with its state fanned out to deeply nested entries
+    text = BAD_MU.read_text(encoding="utf-8")
+    deep = "[" * levels + "0" + "]" * levels
+    return text.replace("values: [1, 1, 1]", "values: [" + ", ".join([deep] * entries) + "]")
+
+
+def test_deep_collections_side_by_side_pass_the_nesting_work_bound():
+    text = _fanned_out(65, 3000)
+    assert len(text) > 390_000
+    with pytest.raises(ScenarioSyntaxError) as info:
+        parse_scenario_text(text)
+    assert f"nesting work passes {MAX_NESTING_WORK:,}" in str(info.value)
+    # stopped within the sixth deep entry, not at the end of the line
+    assert info.value.column < 6 * 6004
+
+
+def test_one_collection_just_under_the_depth_limit_stays_under_the_work_bound():
+    # its work is about (MAX_NESTING - 1)**2, half the bound
+    with pytest.raises(ScenarioSchemaError, match="unknown field 'extra'"):
+        parse_scenario_text(_nested_extra(MAX_NESTING - 1))
+    assert MAX_NESTING_WORK == 2 * MAX_NESTING**2

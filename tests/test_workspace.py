@@ -144,3 +144,17 @@ def test_a_warm_d10_choi_check_and_kraus_operation_allocate_what_they_return():
     for call, bound in checks:
         call()
         assert peak_bytes(call) <= bound
+
+
+def test_a_warm_d16_kraus_operation_keeps_one_copy_of_its_map():
+    # the map keeps the d**4 reals kraus_matrix returns, with no second copy
+    d = 16
+    rng = np.random.default_rng(7)
+    space = make_quantum_space(d)
+    kraus = KrausSet(tuple(random_unitary(d, rng) / np.sqrt(2) for _ in range(2)))
+
+    def call():
+        return kraus_operation(space, kraus)
+
+    call()
+    assert peak_bytes(call) <= 8 * d**4 + 64 * 1024
