@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConvexOpError, UnsupportedSpaceError
 from .quantum import from_matrix, to_matrix
-from .spaces import DEFAULT_TOL, Element, leq, margin_passes, require_same_space
+from .spaces import DEFAULT_TOL, Element, cone_margin, leq, margin_passes
+from .spaces import require_same_space
 
 VERDICTS = ("less", "greater", "equal", "incomparable")
 
@@ -129,7 +130,9 @@ def anti_lattice_witness(
 
     for name, lower in (("first", c1), ("second", c2)):
         for upper in (ea, eb):
-            if not leq(from_matrix(space, lower), upper, tol):
+            # at the inputs' scale, as on the grid: a bound keeps an input's rounding
+            margin = cone_margin(upper - from_matrix(space, lower))
+            if not margin_passes(margin, np.concatenate((ea.coords, eb.coords)), tol):
                 raise ConvexOpError(
                     f"internal witness failure: {name} bound is not below an input"
                 )

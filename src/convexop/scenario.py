@@ -7,9 +7,10 @@ optional post-selection.  Documents are YAML mappings with a strict
 schema; unknown fields are rejected.
 
 Complex numbers are written as ``[re, im]`` pairs wherever a matrix or
-amplitude entry allows them.  Reports are rendered to a canonical JSON
-text with reals at 17 significant digits, so identical documents produce
-byte-identical reports.
+amplitude entry allows them.  A one-line list of plain decimal numbers is
+read in one ``json.loads`` call, with the values, errors and exit codes of
+a plain YAML load.  Reports are rendered to a canonical JSON text with reals
+at 17 significant digits, so identical documents produce byte-identical reports.
 
 Measurement forms
 -----------------
@@ -108,8 +109,8 @@ MAX_NESTING_WORK = 2 * MAX_NESTING**2
 # Each combinator below returns a checker ``check(value, path)`` that raises
 # ScenarioSchemaError on the first violation, walking fields in declaration
 # order.  The empty path is the document root.  A leaf checker also carries
-# ``check.accepts(value)``, true exactly where it passes: lists and matrix
-# rows test their entries with it and build an entry's path only to report it.
+# ``check.accepts_all(values)``, true only where every entry passes: lists and
+# matrix rows walk their entries, building paths, only to name a violation.
 
 def _fail(path: str, message: str):
     raise ScenarioSchemaError(f"{path or 'document'}: {message}")
@@ -132,11 +133,13 @@ def _instance(types, noun: str):
             _fail(path, f"expected {noun}")
 
     check.accepts = accepts
+    # by exact type, which leaves bool out; a subclass is left to the walk
+    check.accepts_all = lambda values: set(map(type, values)) <= set(types)
     return check
 
 
-_integer = _instance(int, "an integer")
-_string = _instance(str, "a string")
+_integer = _instance((int,), "an integer")
+_string = _instance((str,), "a string")
 _number = _instance((int, float), "a real number")
 
 
@@ -166,8 +169,13 @@ def _complex(value, path: str) -> None:
     _real(value[1], f"{path}[1]")
 
 
-_real.accepts = _is_real
-_complex.accepts = _is_complex
+# C-level passes: exact types; max, exact past the float range; isfinite for NaN
+_real.accepts_all = lambda values: (
+    _number.accepts_all(values)
+    and max(map(abs, values), default=0) <= sys.float_info.max
+    and all(map(math.isfinite, values))
+)
+_complex.accepts_all = lambda values: all(map(_is_complex, values))
 
 
 def _matrix(entry):
@@ -181,7 +189,7 @@ def _matrix(entry):
                 _fail(f"{path}[{r}]", "expected a nonempty row")
             if len(row) != len(value[0]):
                 _fail(f"{path}[{r}]", "rows have unequal lengths")
-            if not all(map(entry.accepts, row)):
+            if not entry.accepts_all(row):
                 for c, item in enumerate(row):
                     entry(item, f"{path}[{r}][{c}]")
 
@@ -189,12 +197,12 @@ def _matrix(entry):
 
 
 def _list(noun: str, item, nonempty: bool = False):
-    accepts = getattr(item, "accepts", None)  # only leaves carry a predicate
+    accepts_all = getattr(item, "accepts_all", None)  # only leaves carry one
 
     def check(value, path: str) -> None:
         if not isinstance(value, list) or (nonempty and not value):
             _fail(path, f"expected a {noun}")
-        if accepts is not None and all(map(accepts, value)):
+        if accepts_all is not None and accepts_all(value):
             return
         for k, entry in enumerate(value):
             item(entry, f"{path}[{k}]")
@@ -361,14 +369,24 @@ _NUMBER_TYPES = {_INT_TAG: int, _FLOAT_TAG: float}
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+#: A one-line flow sequence of number characters nested at most 3 deep, as a
+#: complex matrix is; a run of them holds no bracket, so a failed match gives
+#: up in linear time.  If ``json.loads`` reads it and each exponent follows a
+#: fraction and a sign, every number in it is one YAML 1.1 and JSON read alike,
+#: ``-?(0|[1-9][0-9]*)(\.[0-9]+([eE][-+][0-9]+)?)?``.
+_NUMBER_LIST = re.compile(r"\[N(?:\[N(?:\[N\]N)*\]N)*\]".replace("N", "[-+.0-9eE, ]*"))
+
+
 class _Loader(_SAFE_LOADER):
     """Safe YAML loading, through libyaml where PyYAML has it, that rejects
     a key repeated in one mapping instead of keeping its last value.
 
-    Plain decimal literals (:data:`_DECIMAL`) are resolved and, inside a
-    sequence, constructed without PyYAML's per-scalar Python path; the data
-    is the same as ``yaml.SafeLoader`` gives.
+    Plain decimal literals (:data:`_DECIMAL`) are resolved and constructed
+    without PyYAML's per-scalar Python path, and an empty sequence starting at
+    a key of ``number_lists`` is constructed as the list it maps to, once.
     """
+
+    number_lists: dict = {}
 
     def resolve(self, kind, value, implicit):
         if kind is ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
@@ -377,20 +395,21 @@ class _Loader(_SAFE_LOADER):
         # mapping-heavy document more than the regex above saves it
         return _SAFE_LOADER.resolve(self, kind, value, implicit)
 
+    def construct_number(self, node):
+        convert, text = _NUMBER_TYPES[node.tag], node.value
+        # an explicit "!!int 1.5" keeps PyYAML's error; "!!float 2" is 2.0
+        if isinstance(node, ScalarNode) and _DECIMAL.fullmatch(text):
+            if convert is float or "." not in text:
+                return convert(text)
+        return _SAFE_LOADER.yaml_constructors[node.tag](self, node)
+
+    yaml_constructors = dict(_SAFE_LOADER.yaml_constructors)
+    yaml_constructors.update(dict.fromkeys(_NUMBER_TYPES, construct_number))
+
     def construct_sequence(self, node, deep=False):
-        if not isinstance(node, SequenceNode):
-            return super().construct_sequence(node, deep=deep)
-        items = []
-        for child in node.value:
-            convert = _NUMBER_TYPES.get(child.tag)
-            # an explicit "!!int 1.5" keeps PyYAML's error; "!!float 2" is 2.0
-            if convert is not None and isinstance(child, ScalarNode):
-                text = child.value
-                if _DECIMAL.fullmatch(text) and (convert is float or "." not in text):
-                    items.append(convert(text))
-                    continue
-            items.append(self.construct_object(child, deep=deep))
-        return items
+        if isinstance(node, SequenceNode) and not node.value:  # maybe a blanked list
+            return self.number_lists.pop(node.start_mark.index, None) or []
+        return super().construct_sequence(node, deep=deep)
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -438,10 +457,38 @@ def _check_nesting(text: str) -> None:
         raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
 
 
+def _load_numbers_apart(text: str):
+    """``text`` with each :data:`_NUMBER_LIST` read by ``json.loads`` and blanked
+    to ``[]`` and spaces, so that libyaml composes only the structure and every
+    later mark stays put; raises if a list is not read."""
+    lists = {}
+
+    def blank(match) -> str:
+        span = match.group()
+        # YAML 1.1 reads "1e5" and "1.0e5" as strings
+        exponents = span.count("e") + span.count("E")
+        if exponents and len(re.findall(r"\.[0-9]+[eE][-+]", span)) != exponents:
+            return span
+        try:
+            lists[match.start()] = json.loads(span)
+        except ValueError:  # not JSON, or an integer past int()'s digit limit
+            return span
+        return "[]".ljust(len(span))
+
+    loader = type("_Loader", (_Loader,), {"number_lists": lists})  # this text's lists
+    data = yaml.load(_NUMBER_LIST.sub(blank, text), Loader=loader)
+    if lists:
+        raise ValueError("a number list was not read")
+    return data
+
+
 def _load_yaml(text: str):
     try:
         _check_nesting(text)
-        return yaml.load(text, Loader=_Loader)
+        try:
+            return _load_numbers_apart(text)
+        except Exception:  # the text as it stands gives the data or the error
+            return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "malformed document"

@@ -125,3 +125,114 @@ def test_property_catches_a_fast_path_that_allows_leading_zeros():
         text = find(documents(), lambda text: not agrees(text),
                     settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
     assert agrees(text), text
+
+
+# ---------------------------------------------------------------------------
+# one-line number lists, read apart from the rest of the document
+# ---------------------------------------------------------------------------
+#
+# ``_load_yaml`` reads a one-line flow sequence of plain decimal numbers with
+# ``json.loads`` and hands libyaml the text with that sequence blanked.  The
+# lists below are put where a blanked sequence would change what the text
+# means.  The data must be what ``yaml.SafeLoader`` reads from the text as it
+# stands.  An error must be the one, text and mark, that ``_Loader`` raises
+# on the text as it stands: libyaml words its parser errors otherwise than
+# pure PyYAML ("did not find expected key" for "expected <block end>").
+
+#: Tokens just outside the numbers YAML 1.1 and JSON read alike.
+OFF_GRAMMAR = ["1.", "+1", "1.0e5", "-0", "1.0e+999", "1" * 5000, "1e5", "1.5E5", "1e+5",
+               "01", ".5", "1_0", "0x1F", "-", "+", "--1", "1.2.3", "1,,2", "1.5e+3e+3",
+               ".nan", "1.0e", "x"]
+IN_GRAMMAR = st.from_regex(r"-?(0|[1-9][0-9]{0,5})(\.[0-9]{1,4}([eE][-+][0-9]{1,3})?)?",
+                           fullmatch=True)
+TOKENS = st.one_of(IN_GRAMMAR, IN_GRAMMAR, IN_GRAMMAR, st.sampled_from(OFF_GRAMMAR))
+
+
+def number_lists(depth: int):
+    """Flow sequences nested up to ``depth`` deep, spaced and sometimes
+    closed by a trailing comma."""
+    item = TOKENS if depth == 1 else st.one_of(TOKENS, number_lists(depth - 1))
+    return st.tuples(
+        st.lists(item, min_size=1, max_size=4),
+        st.sampled_from([", ", ",", " , ", ",  "]),
+        st.sampled_from(["", "", ","]),
+        st.sampled_from(["", "", " "]),
+    ).map(lambda t: "[" + t[3] + t[1].join(t[0]) + t[2] + t[3] + "]")
+
+
+LIST = number_lists(4)
+LONG_KEY = "[" + ", ".join(["1.5"] * 300) + "]"
+
+#: Where a list goes, as a line or lines of a block mapping under key ``{k}``.
+PLACEMENTS = [
+    "{k}: {s}",
+    "? {s}\n: {k}",
+    "{k}: '{s}'",
+    '{k}: "{s}"',
+    "{k}: a{s}",
+    "{k}: x {s}",
+    "{k}: |\n  {s}\n  {s}",
+    "{k}: 1  # {s}",
+    "# {s}\n{k}: 1",
+    "{k}: ünï {s}",
+    "ünï{k}: {s}",
+    "{k}: &a{k} {s}\n{k}x: *a{k}",
+    "{k}: !!seq {s}",
+    "{k}: !!str {s}",
+    "{k}: !!omap {s}",
+    "{s}: {k}",
+    "{k}: {{a: {s}, b: [{s}, x]}}",
+    "{k}: [{s}: 1]",
+    "{k}:\n  - {s}\n  - {s}",
+    "{k}:\n  <<: {s}",
+    "{k}: {s}x",
+    "{k}: {s}#x",
+    "{k}: " + LONG_KEY + ": 1",
+    LONG_KEY + ": {k}",
+]
+
+
+@st.composite
+def list_documents(draw) -> str:
+    """A block mapping of a few placements, its lines broken by LF or CRLF,
+    sometimes after a byte order mark, which libyaml leaves out of its marks."""
+    lines = []
+    for k, placement in enumerate(draw(st.lists(st.sampled_from(PLACEMENTS),
+                                                min_size=1, max_size=4))):
+        lines.append(placement.format(k=f"k{k}", s=draw(LIST)))
+    line_break = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "\ufeff"])) + line_break.join(lines) + line_break
+
+
+def _alike(a, b) -> bool:
+    kind, got = a
+    return kind == b[0] and (got == b[1] if kind == "error" else same(got, b[1]))
+
+
+def reads_lists_like_safe_loader(text: str) -> bool:
+    got = outcome(text, scenario._Loader)
+    # the text as it stands: no number list read apart
+    with mock.patch.object(scenario, "_NUMBER_LIST", re.compile("(?!)")):
+        today, safe = outcome(text, scenario._Loader), outcome(text, yaml.SafeLoader)
+    return _alike(got, today) and (got[0] == "error" or _alike(got, safe))
+
+
+@settings(max_examples=400, deadline=None)
+@given(list_documents())
+def test_number_lists_read_like_safe_loader(text):
+    assert reads_lists_like_safe_loader(text), text
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("span", ["[1, -2.5, 0]", "[[0.5, -0.5], 1.0e-05]",
+                                  "[[[1.5, 2], [3, 4]]]", "[1, 2,]"])
+def test_each_placement_reads_like_safe_loader(placement, span):
+    text = placement.format(k="k", s=span) + "\n"
+    for line_break in ("\n", "\r\n"):
+        assert reads_lists_like_safe_loader(text.replace("\n", line_break)), text
+
+
+@pytest.mark.parametrize("token", OFF_GRAMMAR)
+def test_tokens_off_the_grammar_read_like_safe_loader(token):
+    for text in (f"k: [{token}]\n", f"k: [1.5, [{token}, 2], 3]\n", f"k: [[[0, {token}]]]\n"):
+        assert reads_lists_like_safe_loader(text), text

@@ -64,6 +64,18 @@ def test_witness_gate_accepts_a_large_psd_pair(tmp_path, capsys):
     assert result["relation"] == "less"
 
 
+def test_witness_bounds_are_judged_at_the_scale_of_the_inputs(tmp_path, capsys):
+    # the first bound is built out of A at scale 4e7 and keeps its rounding,
+    # while it and B are about 1: judged at their own scale, "first bound is
+    # not below an input" exited 3
+    path = tmp_path / "pair.yaml"
+    path.write_text(f"A: {A}\nB: [[1, 0], [0, 0.5]]\n")
+    assert main(["witness-antilattice", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["comparable"] is False
+    assert result["c1"] is not None and result["c2"] is not None
+
+
 def test_witness_gate_keeps_its_message(tmp_path, capsys):
     path = tmp_path / "pair.yaml"
     path.write_text("A: [[1, 0], [0, -0.5]]\nB: [[1, 0], [0, 1]]\n")
