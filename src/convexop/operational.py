@@ -18,7 +18,7 @@ its generator, where it multiplies each matrix entry by a phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -381,6 +381,36 @@ class EvolutionGroup:
         eig = np.ascontiguousarray((v.conj().T @ basis @ v).reshape(d * d, d * d).T)
         return eig, eig.conj().T
 
+    @cached_property
+    def spectral_radius(self) -> float:
+        """The largest ``|w|`` of a Hamiltonian group's generator; eigh sorts
+        ``w``, so it is at an end."""
+        w = self.spectrum[0]
+        return float(max(-w[0], w[-1]))
+
+    @cached_property
+    def _cycles(self) -> tuple:
+        """The permutation's cycles, by length: a triple ``(length, points,
+        rows)`` per length, where row ``c`` of ``rows`` runs twice round the
+        ``c``-th cycle of that length in orbit order and ``points`` holds the
+        first round of every row, so that ``rows[:, r:r + length]`` are the
+        images ``r`` steps on."""
+        image = self.permutation.tolist()
+        by_length = {}
+        for start in range(len(image)):
+            cycle, point = [], start
+            while image[point] >= 0:  # a point is marked -1 once in a cycle
+                cycle.append(point)
+                image[point], point = -1, image[point]
+            if cycle:
+                by_length.setdefault(len(cycle), []).extend(cycle)
+        cycles = []
+        for length, points in by_length.items():
+            points = np.array(points, dtype=np.intp)
+            rows = points.reshape(-1, length)
+            cycles.append((length, points, np.hstack([rows, rows])))
+        return tuple(cycles)
+
 
 def _integer_steps(delta: float) -> int:
     """The number of shifts a permutation evolution makes in time ``delta``."""
@@ -392,18 +422,14 @@ def _integer_steps(delta: float) -> int:
     return steps
 
 
-def _permutation_power(perm: np.ndarray, delta: float) -> np.ndarray:
-    """Image table of the time-``delta`` shift; ``delta`` must be an integer."""
-    steps = _integer_steps(delta)
-    result = np.arange(perm.size)
-    base = perm if steps >= 0 else np.argsort(perm)
-    steps = abs(steps)
-    while steps:
-        if steps & 1:
-            result = base[result]
-        base = base[base]
-        steps >>= 1
-    return result
+def _permutation_power(group: EvolutionGroup, steps: int) -> np.ndarray:
+    """Image table of ``steps`` shifts: each cycle turns by ``steps`` modulo its
+    length, a Python int, so the cost does not grow with ``steps``."""
+    image = np.empty_like(group.permutation)
+    for length, points, rows in group._cycles:
+        turn = steps % length
+        image[points] = rows[:, turn:turn + length].ravel()
+    return image
 
 
 def propagator(hamiltonian: np.ndarray, delta: float) -> np.ndarray:
@@ -414,48 +440,76 @@ def propagator(hamiltonian: np.ndarray, delta: float) -> np.ndarray:
 
 def _require_finite_phases(group: EvolutionGroup, delta: float) -> None:
     """Reject a time whose phases ``delta * w`` overflow the float range."""
-    # eigh sorts w, so its largest magnitude is at an end; a product of
-    # Python floats overflows to inf without a warning
-    w = group.spectrum[0]
-    if not abs(float(delta) * float(max(-w[0], w[-1]))) < np.inf:
+    # a product of Python floats overflows to inf without a warning
+    if not abs(float(delta) * group.spectral_radius) < np.inf:
         raise InvalidEvolutionError(
             f"time {delta!r} times the generator's spectrum overflows"
         )
 
 
-def _member(group: EvolutionGroup, delta: float) -> np.ndarray:
-    """The time-``delta`` member: an image table, or the phase
-    ``p_i conj(p_j)``, ``p = exp(-i delta w)``, of each eigenbasis entry
-    ``(i, j)``; not ``exp(-i delta (w_i - w_j))``, whose gap can overflow."""
-    if group.kind == "permutation":
-        return _permutation_power(group.permutation, delta)
-    _require_finite_phases(group, delta)
-    phases = np.exp(-1j * delta * group.spectrum[0])
-    return (phases[:, np.newaxis] * phases.conj()).ravel()
+#: Steps whose phases are computed in one call; it bounds what a stretch of
+#: evolve steps holds at once, however long the stretch is.
+_BLOCK = 256
 
 
-def _apply_member(group: EvolutionGroup, member: np.ndarray, b: Element) -> Element:
-    require_same_space(group.space, b.space)
+def _members(group: EvolutionGroup, deltas: list):
+    """The time-``delta`` members of a Hamiltonian group, one per delta: the
+    phase ``p_i conj(p_j)``, ``p = exp(-i delta w)``, of each eigenbasis entry
+    ``(i, j)``; not ``exp(-i delta (w_i - w_j))``, whose gap can overflow.
+
+    Every time is checked first.  The phases of :data:`_BLOCK` times are
+    computed in one call, and each member is built as it is needed.
+    """
+    for delta in deltas:
+        _require_finite_phases(group, delta)
+    w = group.spectrum[0]
+    blocks = (
+        np.exp(np.multiply.outer([-1j * delta for delta in deltas[k:k + _BLOCK]], w))
+        for k in range(0, len(deltas), _BLOCK)
+    )
+    # one outer product per member: one over a block of them would multiply
+    # through another numpy loop, whose bits differ
+    return ((p[:, np.newaxis] * p.conj()).ravel() for phases in blocks for p in phases)
+
+
+def _evolve_stretch(group: EvolutionGroup, deltas: list, branches) -> list:
+    """Elements ``branches`` after the group's time-``delta`` members, one
+    delta after another.
+
+    Between steps a branch is a bare coordinate array; it becomes an
+    :class:`Element` once, at the end.  Permutation times add up to one shift.
+    """
     if group.kind == "permutation":
-        out = np.empty_like(b.coords)
-        out[member] = b.coords
-        return Element(b.space, out)
-    eig, back = group.eigen_frame
-    return Element(b.space, np.real(back @ (member * (eig @ b.coords))))
+        # the value at i moves to image[i], so the value at j comes from
+        # where the reverse shift sends j
+        source = _permutation_power(group, -sum(map(_integer_steps, deltas)))
+    else:
+        members = _members(group, deltas)
+    for b in branches:
+        require_same_space(group.space, b.space)
+    coords = [b.coords for b in branches]
+    if group.kind == "permutation":
+        coords = [x[source] for x in coords]
+    else:
+        eig, back = group.eigen_frame
+        for m in members:
+            coords = [np.real(back @ (m * (eig @ x))) for x in coords]
+    return [Element(b.space, x) for b, x in zip(branches, coords)]
 
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
     """Apply the time-``delta`` member of the group to an element."""
-    return _apply_member(group, _member(group, delta), b)
+    return _evolve_stretch(group, [delta], [b])[0]
 
 
 def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
     """The time-``delta`` member of the group as an explicit operation map."""
-    member = _member(group, delta)
     if group.kind == "permutation":
         matrix = np.zeros((group.space.dim, group.space.dim))
-        matrix[member, np.arange(group.space.dim)] = 1.0
+        image = _permutation_power(group, _integer_steps(delta))
+        matrix[image, np.arange(group.space.dim)] = 1.0
     else:
+        (member,) = _members(group, [delta])
         eig, back = group.eigen_frame
         matrix = np.real((back * member) @ eig)
     return OperationMap(group.space, matrix, "nonselective")
@@ -514,6 +568,30 @@ def _coerce_step(step):
     raise TypeError(f"cannot interpret sequence step {step!r}")
 
 
+def _stretches(steps):
+    """The steps, with each maximal stretch of consecutive evolve steps of one
+    group as one ``(group, deltas)`` pair.  A stretch is handed on before
+    the step after it is interpreted, so errors come in step order."""
+    group, deltas = None, []
+    for raw in steps:
+        if isinstance(raw, EvolveStep) and raw.group is group:
+            deltas.append(raw.delta)
+            continue
+        if deltas:
+            yield group, deltas
+        if isinstance(raw, EvolveStep):
+            group, deltas = raw.group, [raw.delta]
+        else:
+            group, deltas = None, []
+            yield _coerce_step(raw)
+    if deltas:
+        yield group, deltas
+
+
+#: The record of every evolve step; records are frozen, so one is shared.
+_EVOLVED = StepRecord("evolve", None, 1.0)
+
+
 def run_sequence(
     b: Element,
     steps,
@@ -528,7 +606,9 @@ def run_sequence(
     ratio of the overlap of the final boundary condition with the selected
     branch to its overlap with the fully non-selective branch, so the total
     remains the joint probability of all recorded outcomes given preparation
-    and post-selection.
+    and post-selection.  A stretch of evolve steps of one group is applied in
+    one pass (:func:`_evolve_stretch`), with the arithmetic of one step at a
+    time.
     """
     _require_normalized(b, tol, "initial state")
     state = b
@@ -537,28 +617,30 @@ def run_sequence(
     reference = b if post_selection is not None else None
     probability = 1.0
     records = []
-    for raw in steps:
-        step = _coerce_step(raw)
-        # the step unread, built once: the reference always takes it
-        if isinstance(step, EvolveStep):
-            move = partial(_apply_member, step.group, _member(step.group, step.delta))
-            outcome, record = None, StepRecord("evolve", None, 1.0)
-        else:
-            move = partial(apply_operation, step.spec.parent)
-            outcome, record = step.outcome, StepRecord(step.spec.name, UNOBSERVED, 1.0)
+    for step in _stretches(steps):
+        if isinstance(step, tuple):  # a stretch of evolve steps
+            group, deltas = step
+            branches = [state] if reference is None else [state, reference]
+            state, *rest = _evolve_stretch(group, deltas, branches)
+            reference = rest[0] if rest else None
+            records += [_EVOLVED] * len(deltas)
+            continue
+        spec, outcome = step.spec, step.outcome
         if outcome is None:
-            state = move(state)
+            state = apply_operation(spec.parent, state)
+            record = StepRecord(spec.name, UNOBSERVED, 1.0)
         else:
-            image, p = _branch(state, step.spec, outcome, tol)
+            image, p = _branch(state, spec, outcome, tol)
             state = _condition(
                 state, image, p, tol,
-                f"outcome {outcome!r} of measurement {step.spec.name!r} has "
+                f"outcome {outcome!r} of measurement {spec.name!r} has "
                 "probability zero; cannot condition on it",
             )
             probability *= p
-            record = StepRecord(step.spec.name, outcome, p)
+            record = StepRecord(spec.name, outcome, p)
+        # the reference takes every measurement unread
         if reference is not None:
-            reference = move(reference)
+            reference = apply_operation(spec.parent, reference)
         records.append(record)
     if post_selection is not None:
         factor = _pairing_ratio(

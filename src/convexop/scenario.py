@@ -39,6 +39,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 
 import numpy as np
 import yaml
@@ -460,7 +461,12 @@ def _check_nesting(text: str) -> None:
 def _load_numbers_apart(text: str):
     """``text`` with each :data:`_NUMBER_LIST` read by ``json.loads`` and blanked
     to ``[]`` and spaces, so that libyaml composes only the structure and every
-    later mark stays put; raises if a list is not read."""
+    later mark stays put; raises if a list is not read.
+
+    A leading byte order mark is dropped first: libyaml leaves it out of its
+    node indexes, so the lists after it would not be found.
+    """
+    text = text.removeprefix("\ufeff")
     lists = {}
 
     def blank(match) -> str:
@@ -967,7 +973,7 @@ def _render_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_string(value)
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
@@ -975,16 +981,20 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str, np.integer))
 
 
-def _render(value, indent: int) -> str:
+def _render(value, indent: int, rows: dict) -> str:
+    """``value`` laid out at ``indent``.  ``rows`` holds the text of each
+    mapping of scalars rendered so far, keyed by the indent and each entry's
+    key and value with their types, so that ``1``, ``1.0`` and ``True`` never
+    share text."""
     pad = " " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render(v, indent + 2)}"
-            for k, v in value.items()
-        )
-        return "{\n" + rows + "\n" + pad + "}"
+        if not all(map(_is_scalar, value.values())):
+            return _render_mapping(value, indent, lambda v: _render(v, indent + 2, rows))
+        row = (indent, *[(type(k), k, type(v), v) for k, v in value.items()])
+        text = rows.get(row)
+        if text is None:
+            text = rows[row] = _render_mapping(value, indent, _render_scalar)
+        return text
     if isinstance(value, (list, tuple)):
         items = list(value)
         if not items:
@@ -999,14 +1009,26 @@ def _render(value, indent: int) -> str:
                 "[" + ", ".join(_render_scalar(e) for e in v) + "]" for v in items
             )
             return "[" + inner_rows + "]"
-        rows = ",\n".join(f"{pad}  {_render(v, indent + 2)}" for v in items)
-        return "[\n" + rows + "\n" + pad + "]"
+        lines = ",\n".join(f"{pad}  {_render(v, indent + 2, rows)}" for v in items)
+        return "[\n" + lines + "\n" + pad + "]"
     return _render_scalar(value)
 
 
+def _render_mapping(value: dict, indent: int, render_value) -> str:
+    if not value:
+        return "{}"
+    pad = " " * indent
+    lines = ",\n".join(
+        f"{pad}  {_json_string(str(k))}: {render_value(v)}" for k, v in value.items()
+    )
+    return "{\n" + lines + "\n" + pad + "}"
+
+
 def render_json(value) -> str:
-    """Canonical report text: fixed layout, reals at 17 significant digits."""
-    return _render(value, 0) + "\n"
+    """Canonical report text: fixed layout, reals at 17 significant digits.
+    A mapping of scalars that repeats, such as the row of every evolve
+    step, is rendered once per call."""
+    return _render(value, 0, {}) + "\n"
 
 
 def render_report(report: RunReport) -> str:

@@ -10,6 +10,7 @@ document must load to the same data through ``_load_yaml`` with either
 loader, or fail with the same exception and text.
 """
 
+import pathlib
 import re
 from unittest import mock
 
@@ -236,3 +237,31 @@ def test_each_placement_reads_like_safe_loader(placement, span):
 def test_tokens_off_the_grammar_read_like_safe_loader(token):
     for text in (f"k: [{token}]\n", f"k: [1.5, [{token}, 2], 3]\n", f"k: [[[0, {token}]]]\n"):
         assert reads_lists_like_safe_loader(text), text
+
+
+QUANTUM_ZX = (pathlib.Path(__file__).parent.parent / "scenarios" / "quantum_zx.yaml").read_text(
+    encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeffa: [1, 2]\n", "\ufeffa: [1, 2\n", "\ufeffa: 1\na: 2\n", "\ufeff[[0.5, 1], 2]\n",
+    "\ufeff# [1, 2]\na: [1.5, -2]\r\n", "\ufeffa: '[1, 2]'\nb: [3]\n", "\ufeff" + QUANTUM_ZX,
+])
+def test_texts_after_a_byte_order_mark_read_like_safe_loader(text):
+    assert reads_lists_like_safe_loader(text), text
+
+
+def test_errors_after_a_byte_order_mark_keep_their_text_and_marks():
+    with pytest.raises(scenario.ScenarioSyntaxError, match=r"line 2, column 1"):
+        scenario._load_yaml("\ufeffa: [1, 2\n")
+    with pytest.raises(scenario.ScenarioSyntaxError, match="found duplicate key 'a'"):
+        scenario._load_yaml("\ufeffa: 1\na: 2\n")
+
+
+@pytest.mark.parametrize("text", ["a: [1, 2]\n", "\ufeffa: [1, 2]\n",
+                                  QUANTUM_ZX, "\ufeff" + QUANTUM_ZX])
+def test_a_text_with_number_lists_is_loaded_once(text):
+    with mock.patch.object(scenario.yaml, "load", wraps=yaml.load) as load:
+        data = scenario._load_yaml(text)
+    assert load.call_count == 1
+    assert same(data, yaml.load(text, Loader=yaml.SafeLoader))
