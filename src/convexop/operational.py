@@ -36,6 +36,7 @@ from .spaces import (
     ModelSpace,
     inner,
     is_positive,
+    pairing_passes,
     require_same_space,
     sample_cone,
     scaled_tol,
@@ -179,7 +180,7 @@ def _pairing_ratio(
 ) -> float:
     """``<b2, selected> / <b2, reference>``; the denominator must not vanish."""
     denom = inner(b2, reference)
-    if denom <= scaled_tol(tol, b2.coords):
+    if not pairing_passes(denom, b2.coords, tol):
         raise ZeroProbabilityError(message)
     return inner(b2, selected) / denom
 
@@ -233,8 +234,13 @@ def completeness_gap(spec: MeasurementSpec, tol: float = DEFAULT_TOL) -> tuple:
     judged against.  On diagonal maps only the diagonals are compared: the
     zeros off the diagonal add nothing to either maximum."""
     *outcomes, parent = _same_form([*spec.outcomes.values(), spec.parent])
-    gap = float(np.abs(reduce(np.add, outcomes) - parent).max())
-    return gap, scaled_tol(tol, parent)
+    return _sum_gap(outcomes, parent, tol)
+
+
+def _sum_gap(parts, whole: np.ndarray, tol: float) -> tuple:
+    """``max |sum(parts) - whole|``, the parts added in order, and its scaled tolerance."""
+    gap = float(np.abs(reduce(np.add, parts) - whole).max())
+    return gap, scaled_tol(tol, whole)
 
 
 def measurement_defects(spec: MeasurementSpec) -> list:
@@ -245,7 +251,7 @@ def measurement_defects(spec: MeasurementSpec) -> list:
     """
     defects = []
     gap, bound = completeness_gap(spec, 1e-10)
-    if gap > bound:
+    if not gap <= bound:
         defects.append(
             f"outcome maps of {spec.name!r} sum to the parent only up to {gap:.3e}"
         )
@@ -258,7 +264,7 @@ def measurement_defects(spec: MeasurementSpec) -> list:
 
 def _require_normalized(b: Element, tol: float, what: str = "state") -> None:
     total = inner(unit_element(b.space), b)
-    if abs(total - 1.0) > max(tol, 1e-9):
+    if not abs(total - 1.0) <= max(tol, 1e-9):
         raise NotNormalizedError(
             f"{what} pairing with the order unit is {total!r}, expected 1"
         )
@@ -301,7 +307,7 @@ def _condition(
     b: Element, image: Element, weight: float, tol: float, message: str
 ) -> Element:
     """``image`` divided by its order-unit pairing ``weight``, which must not vanish."""
-    if weight <= scaled_tol(tol, b.coords):
+    if not pairing_passes(weight, b.coords, tol):
         raise ZeroProbabilityError(message)
     return Element(b.space, image.coords / weight)
 
@@ -412,16 +418,6 @@ class EvolutionGroup:
         return tuple(cycles)
 
 
-def _integer_steps(delta: float) -> int:
-    """The number of shifts a permutation evolution makes in time ``delta``."""
-    steps = int(round(delta))
-    if abs(delta - steps) > 1e-9:
-        raise InvalidEvolutionError(
-            f"permutation evolution needs integer steps, got {delta!r}"
-        )
-    return steps
-
-
 def _permutation_power(group: EvolutionGroup, steps: int) -> np.ndarray:
     """Image table of ``steps`` shifts: each cycle turns by ``steps`` modulo its
     length, a Python int, so the cost does not grow with ``steps``."""
@@ -457,11 +453,9 @@ def _members(group: EvolutionGroup, deltas: list):
     phase ``p_i conj(p_j)``, ``p = exp(-i delta w)``, of each eigenbasis entry
     ``(i, j)``; not ``exp(-i delta (w_i - w_j))``, whose gap can overflow.
 
-    Every time is checked first.  The phases of :data:`_BLOCK` times are
+    The phases of :data:`_BLOCK` times, which :class:`EvolveStep` checked, are
     computed in one call, and each member is built as it is needed.
     """
-    for delta in deltas:
-        _require_finite_phases(group, delta)
     w = group.spectrum[0]
     blocks = (
         np.exp(np.multiply.outer([-1j * delta for delta in deltas[k:k + _BLOCK]], w))
@@ -477,12 +471,13 @@ def _evolve_stretch(group: EvolutionGroup, deltas: list, branches) -> list:
     delta after another.
 
     Between steps a branch is a bare coordinate array; it becomes an
-    :class:`Element` once, at the end.  Permutation times add up to one shift.
+    :class:`Element` once, at the end.  Permutation times, which
+    :class:`EvolveStep` checked, add up to one shift.
     """
     if group.kind == "permutation":
         # the value at i moves to image[i], so the value at j comes from
         # where the reverse shift sends j
-        source = _permutation_power(group, -sum(map(_integer_steps, deltas)))
+        source = _permutation_power(group, -sum(int(round(delta)) for delta in deltas))
     else:
         members = _members(group, deltas)
     for b in branches:
@@ -499,14 +494,15 @@ def _evolve_stretch(group: EvolutionGroup, deltas: list, branches) -> list:
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
     """Apply the time-``delta`` member of the group to an element."""
-    return _evolve_stretch(group, [delta], [b])[0]
+    return _evolve_stretch(group, [EvolveStep(group, delta).delta], [b])[0]
 
 
 def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
     """The time-``delta`` member of the group as an explicit operation map."""
+    delta = EvolveStep(group, delta).delta
     if group.kind == "permutation":
         matrix = np.zeros((group.space.dim, group.space.dim))
-        image = _permutation_power(group, _integer_steps(delta))
+        image = _permutation_power(group, int(round(delta)))
         matrix[image, np.arange(group.space.dim)] = 1.0
     else:
         (member,) = _members(group, [delta])
@@ -533,17 +529,21 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class EvolveStep:
-    """Free evolution for a time ``delta``, an integer for a permutation group
-    and one whose phases ``delta * w`` are finite for a Hamiltonian group."""
+    """Free evolution for a time ``delta``, checked here once: an integer for a
+    permutation group, and one whose phases ``delta * w`` are finite for a
+    Hamiltonian group."""
 
     group: EvolutionGroup
     delta: float
 
     def __post_init__(self) -> None:
-        if self.group.kind == "permutation":
-            _integer_steps(self.delta)
-        else:
+        if self.group.kind == "hamiltonian":
             _require_finite_phases(self.group, self.delta)
+        # delta * 0 is NaN for inf and NaN, on which round() raises, else 0
+        elif not (self.delta * 0 == 0 and abs(self.delta - round(self.delta)) <= 1e-9):
+            raise InvalidEvolutionError(
+                f"permutation evolution needs integer steps, got {self.delta!r}"
+            )
 
 
 @dataclass(frozen=True)

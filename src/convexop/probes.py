@@ -25,16 +25,17 @@ from .errors import (
     SpaceMismatchError,
     UnsupportedSpaceError,
 )
-from .operational import OperationMap
+from .operational import OperationMap, _sum_gap
 from .spaces import (
     DEFAULT_TOL,
     Element,
     ModelSpace,
+    margin_passes,
+    pairing_passes,
     product_space,
     same_space,
     same_structure,
     sample_cone,
-    scaled_tol,
 )
 
 
@@ -118,7 +119,7 @@ def outcome_probability(
     reference probe assigns no weight to cannot condition anything.
     """
     denom = pair(p_star, x)
-    if denom <= scaled_tol(DEFAULT_TOL, x.coords):
+    if not pairing_passes(denom, x.coords, DEFAULT_TOL):
         raise IncompatibleBoundaryError(
             "reference probe pairs to zero with this boundary condition"
         )
@@ -137,8 +138,8 @@ def completeness_check(
             same_space(a, b) for a, b in zip(p.boundary, p_star.boundary)
         ):
             raise SpaceMismatchError("all probes must share one boundary")
-    total = np.sum([p.coeffs for p in outcomes], axis=0)
-    return bool(np.abs(total - p_star.coeffs).max() <= scaled_tol(tol, p_star.coeffs))
+    gap, bound = _sum_gap([p.coeffs for p in outcomes], p_star.coeffs, tol)
+    return gap <= bound
 
 
 def _shared_index(p: ProbeFunctional, shared: str) -> int:
@@ -271,15 +272,15 @@ def certify_proper(p: ProbeFunctional) -> ProbeFunctional:
 
     This is a certification by sampling, not a decision procedure: 1000
     product states of the factor cones are drawn from a generator seeded
-    with 7, and the probe must stay above ``-DEFAULT_TOL`` (scaled) on all
-    of them.
+    with 7, and the probe must pass :func:`margin_passes` at ``DEFAULT_TOL``
+    on all of them.
     """
     rng = np.random.default_rng(7)
     weights = p._product_weights
     for _ in range(1000):
         coords = reduce(np.kron, [sample_cone(f, rng).coords for f in p.boundary])
         value = float(p.coeffs @ (weights * coords))
-        if value < -scaled_tol(DEFAULT_TOL, coords):
+        if not margin_passes(value, coords, DEFAULT_TOL):
             raise NotInConeError(
                 f"probe paired negatively ({value:.3e}) with a sampled product state"
             )

@@ -38,7 +38,7 @@ from .hermitian import (
     require_hermitian,
 )
 from .operational import EvolutionGroup, MeasurementSpec, OperationMap
-from .spaces import DEFAULT_TOL, Element, ModelSpace, margin_passes, scaled_tol
+from .spaces import DEFAULT_TOL, Element, ModelSpace, margin_passes, pairing_passes, scaled_tol
 
 
 def make_quantum_space(d: int, space_id: str | None = None) -> ModelSpace:
@@ -311,7 +311,7 @@ def luders(b: Element, p_k: np.ndarray) -> Element:
     mat = to_matrix(b)
     p_k = _require_projector(p_k)
     weight = float(np.real(np.einsum("ij,ji->", p_k, mat)))
-    if weight <= DEFAULT_TOL:
+    if not pairing_passes(weight, b.coords, DEFAULT_TOL):
         raise ZeroProbabilityError(
             "cannot condition on a projector of probability zero"
         )
@@ -329,7 +329,7 @@ def luders_pure(psi, p_k: np.ndarray) -> StateVector:
     p_k = _require_projector(p_k)
     image = p_k @ amps
     weight = float(np.real(np.vdot(image, image)))
-    if weight <= DEFAULT_TOL:
+    if not pairing_passes(weight, amps, DEFAULT_TOL):
         raise ZeroProbabilityError(
             "cannot condition on a projector of probability zero"
         )

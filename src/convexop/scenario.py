@@ -87,7 +87,7 @@ from .spaces import (
     inner,
     margin_passes,
     normalize_state,
-    scaled_tol,
+    pairing_passes,
     unit_element,
 )
 
@@ -364,9 +364,7 @@ class ScenarioDoc:
 #: to PyYAML.
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+][0-9]+)?)?")
 
-_INT_TAG = "tag:yaml.org,2002:int"
-_FLOAT_TAG = "tag:yaml.org,2002:float"
-_NUMBER_TYPES = {_INT_TAG: int, _FLOAT_TAG: float}
+_NUMBER_TYPES = {"tag:yaml.org,2002:int": int, "tag:yaml.org,2002:float": float}
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -382,19 +380,14 @@ class _Loader(_SAFE_LOADER):
     """Safe YAML loading, through libyaml where PyYAML has it, that rejects
     a key repeated in one mapping instead of keeping its last value.
 
-    Plain decimal literals (:data:`_DECIMAL`) are resolved and constructed
-    without PyYAML's per-scalar Python path, and an empty sequence starting at
-    a key of ``number_lists`` is constructed as the list it maps to, once.
+    PyYAML's resolver tags every scalar.  A plain decimal literal
+    (:data:`_DECIMAL`) it tags int or float is built by ``int()`` or
+    ``float()`` instead of PyYAML's constructor, and an empty sequence
+    starting at a key of ``number_lists`` is constructed as the list it maps
+    to, once.
     """
 
     number_lists: dict = {}
-
-    def resolve(self, kind, value, implicit):
-        if kind is ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
-            return _FLOAT_TAG if "." in value else _INT_TAG
-        # named, not super(): building a super object per scalar costs a
-        # mapping-heavy document more than the regex above saves it
-        return _SAFE_LOADER.resolve(self, kind, value, implicit)
 
     def construct_number(self, node):
         convert, text = _NUMBER_TYPES[node.tag], node.value
@@ -844,7 +837,7 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
             CheckResult(
                 "normalizable",
                 "initial",
-                math.isfinite(total) and total > scaled_tol(tol, bound.initial.coords),
+                pairing_passes(total, bound.initial.coords, tol),
                 f"order-unit pairing {total:.6e}",
             )
         )

@@ -54,6 +54,11 @@ def margin_passes(margin, coords: np.ndarray, tol: float):
     return margin >= -scaled_tol(tol, coords)
 
 
+def pairing_passes(pairing: float, coords: np.ndarray, tol: float) -> bool:
+    """Whether a pairing may divide: finite and above ``scaled_tol(tol, coords)``."""
+    return scaled_tol(tol, coords) < pairing < np.inf
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ModelSpace:
     """An ordered real vector space with inner product and order unit.
@@ -300,7 +305,7 @@ def order_unit_lambda(b: Element) -> float:
 def normalize_state(b: Element, tol: float = DEFAULT_TOL) -> Element:
     """Scale a nonzero cone element so that its pairing with ``e`` is one."""
     total = inner(unit_element(b.space), b)
-    if total <= scaled_tol(tol, b.coords):
+    if not pairing_passes(total, b.coords, tol):
         raise ZeroStateError(
             "cannot normalize: pairing with the order unit is not positive"
         )
