@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceMismatchError, UnsupportedSpaceError
-from .operational import EvolutionGroup, MeasurementSpec, OperationMap
+from .operational import EvolutionGroup, MeasurementSpec, OperationMap, _first_bad_point
 from .spaces import Element, ModelSpace, require_same_space
 
 
@@ -52,18 +52,6 @@ def make_classical_space(ps: PhaseSpace, space_id: str = "classical") -> ModelSp
     )
 
 
-def _check_subset(space: ModelSpace, subset) -> tuple:
-    points = tuple(sorted(int(i) for i in subset))
-    if len(set(points)) != len(points):
-        raise ValueError(f"subset {subset!r} lists a point twice")
-    for i in points:
-        if not 0 <= i < space.dim:
-            raise ValueError(
-                f"point index {i} is out of range for {space.dim} points"
-            )
-    return points
-
-
 def indicator_measurement(
     space: ModelSpace, subset, name: str | None = None
 ) -> MeasurementSpec:
@@ -76,11 +64,18 @@ def indicator_measurement(
     """
     if space.cone_kind != "componentwise":
         raise UnsupportedSpaceError("indicator measurements need a classical space")
-    points = _check_subset(space, subset)
+    subset = subset if hasattr(subset, "__getitem__") else list(subset)  # a set or an iterator
+    points = np.asarray(subset)
+    bad = _first_bad_point(points, space.dim)
+    if bad is not None:
+        i = subset[bad]
+        raise ValueError(f"subset {subset!r} lists a point twice" if 0 <= i < space.dim
+                         else f"point index {i} is out of range for {space.dim} points")
+    points = np.sort(points.astype(np.intp))
     chi = np.zeros(space.dim)
-    chi[list(points)] = 1.0
+    chi[points] = 1.0
     if name is None:
-        name = "chi[" + ",".join(str(i) for i in points) + "]"
+        name = "chi[" + ",".join(map(str, points.tolist())) + "]"
     return MeasurementSpec(
         name=name,
         outcomes={

@@ -127,6 +127,7 @@ def anti_lattice_witness(
     cross = np.outer(u0, u1.conj()) + np.outer(u1, u0.conj())
     diag = np.outer(u0, u0.conj()) + np.outer(u1, u1.conj())
     c2 = c1 - 0.4 * m * diag + 0.6 * m * cross
+    c1, c2 = ((c + c.conj().T) / 2 for c in (c1, c2))  # drop rounding's skew part
 
     for name, lower in (("first", c1), ("second", c2)):
         for upper in (ea, eb):

@@ -316,6 +316,18 @@ def _condition(
 # evolution groups
 # ---------------------------------------------------------------------------
 
+def _first_bad_point(indices, n: int) -> int | None:
+    """Position of the first entry, in the order given, that is out of ``0..n-1`` or repeats
+    an earlier one, else None.  A nested row is no point; an int past int64 never wraps."""
+    a = np.asarray(indices)
+    good = (a >= 0) & (a < n) & (a.ndim == 1)
+    points = a[good].astype(np.intp)
+    if np.bincount(points).max(initial=0) > 1:  # keep only each point's first entry
+        firsts = np.unique(points, return_index=True)[1]
+        good[good] = np.isin(np.arange(points.size), firsts)
+    return None if good.all() else int(good.argmin())
+
+
 @dataclass(frozen=True, eq=False)
 class EvolutionGroup:
     """A one-parameter group of cone automorphisms of one space.
@@ -338,24 +350,19 @@ class EvolutionGroup:
         if self.kind == "permutation":
             if self.permutation is None:
                 raise ValueError("permutation kind requires an image table")
-            perm = np.array(self.permutation, dtype=int)
+            perm, n = np.asarray(self.permutation), self.space.dim
             if self.space.cone_kind != "componentwise":
-                raise InvalidEvolutionError(
-                    "permutation evolution needs a componentwise space"
-                )
-            if sorted(perm.tolist()) != list(range(self.space.dim)):
-                raise InvalidEvolutionError(
-                    f"{self.permutation!r} is not a permutation of "
-                    f"0..{self.space.dim - 1}"
-                )
+                raise InvalidEvolutionError("permutation evolution needs a componentwise space")
+            if perm.shape != (n,) or _first_bad_point(perm, n) is not None:
+                raise InvalidEvolutionError(f"{self.permutation!r} is not a permutation"
+                                            f" of 0..{n - 1}")
+            perm = perm.astype(int)
             # the pairing with the order unit must survive the shift, which
             # for g = weights * unit means g is constant on every orbit
             g = self.space.weights * self.space.unit
             drift = float(np.abs(g[perm] - g).max())
             if drift > scaled_tol(1e-12, g):
-                raise InvalidEvolutionError(
-                    "permutation does not preserve the measure"
-                )
+                raise InvalidEvolutionError("permutation does not preserve the measure")
             perm.setflags(write=False)
             object.__setattr__(self, "permutation", perm)
         elif self.kind == "hamiltonian":

@@ -100,7 +100,7 @@ class StateVector:
         if amps.shape != (self.d,):
             raise ValueError(f"expected {self.d} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails
             raise NotNormalizedError(f"amplitude norm is {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -116,8 +116,8 @@ def pure_state(psi) -> np.ndarray:
     """Density matrix of an amplitude vector (normalized internally)."""
     amps = _amplitudes(psi)
     norm = float(np.linalg.norm(amps))
-    if norm <= 1e-12:
-        raise ZeroStateError("zero amplitude vector has no associated state")
+    if not 1e-12 < norm < np.inf:  # zero, NaN or inf
+        raise ZeroStateError(f"amplitude vector of norm {norm!r} has no associated state")
     amps = amps / norm
     return np.outer(amps, amps.conj())
 
@@ -360,7 +360,7 @@ def unitary_operation(space: ModelSpace, u: np.ndarray) -> OperationMap:
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise UnsupportedSpaceError(f"unitary shape {u.shape} does not fit size {d}")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
+    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-10:  # NaN fails
         raise ValueError("matrix is not unitary within tolerance")
     return OperationMap._taking(space, kraus_matrix(u[np.newaxis]), "nonselective")
 

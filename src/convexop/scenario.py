@@ -39,6 +39,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 
 import numpy as np
@@ -68,6 +69,7 @@ from .operational import (
     completeness_gap,
     order_unit_defect,
     run_sequence,
+    _first_bad_point,
 )
 from .quantum import (
     KrausSet,
@@ -641,21 +643,16 @@ def _bind_state(space, kind: str, payload: dict, where: str) -> Element:
 
 
 def _cycles_to_image(cycles, n: int):
-    image = list(range(n))
-    seen = set()
-    for cycle in cycles:
-        for i in cycle:
-            if not 0 <= i < n:
-                raise ScenarioValidationError(
-                    f"evolution.permutation: point index {i} is out of range"
-                )
-            if i in seen:
-                raise ScenarioValidationError(
-                    f"evolution.permutation: point {i} appears in two cycles"
-                )
-            seen.add(i)
-        for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-            image[a] = b
+    points = list(chain.from_iterable(cycles))
+    bad = _first_bad_point(points, n)
+    if bad is not None:
+        i = points[bad]
+        what = f"{i} appears in two cycles" if 0 <= i < n else f"index {i} is out of range"
+        raise ScenarioValidationError(f"evolution.permutation: point {what}")
+    flat, ends = np.array(points, dtype=np.intp), np.cumsum([0, *map(len, cycles)])
+    image = np.arange(n)
+    image[flat] = np.roll(flat, -1)  # each point to the next in the document,
+    image[flat[ends[1:] - 1]] = flat[ends[:-1]]  # and the last of a cycle to its first
     return image
 
 
