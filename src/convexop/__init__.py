@@ -10,248 +10,20 @@ PSD order, and a declarative scenario file format with a command line
 front end.
 """
 
-from .errors import (
-    ConvexOpError,
-    IncompatibleBoundaryError,
-    InvalidEvolutionError,
-    NotInConeError,
-    NotNormalizedError,
-    NotProjectorError,
-    ScenarioError,
-    ScenarioSchemaError,
-    ScenarioSyntaxError,
-    ScenarioValidationError,
-    SpaceMismatchError,
-    UnknownOutcomeError,
-    UnsupportedSpaceError,
-    ZeroProbabilityError,
-    ZeroStateError,
-)
-from .hermitian import (
-    coords_to_matrix,
-    hermitian_basis,
-    matrix_to_coords,
-    random_density,
-    random_hermitian,
-    random_psd,
-    random_unitary,
-    require_hermitian,
-)
-from .spaces import (
-    DEFAULT_TOL,
-    Element,
-    ModelSpace,
-    inner,
-    is_positive,
-    leq,
-    normalize_state,
-    order_unit_lambda,
-    product_space,
-    sample_cone,
-    scaled_tol,
-    tensor_element,
-    unit_element,
-    zero_element,
-)
-from .probes import (
-    ProbeFunctional,
-    boundary_space,
-    certify_proper,
-    completeness_check,
-    compose,
-    map_to_probe,
-    outcome_probability,
-    pair,
-    probe_to_map,
-    transparent_probe,
-    zero_probe,
-)
-from .operational import (
-    UNOBSERVED,
-    EvolutionGroup,
-    EvolveStep,
-    MeasureStep,
-    MeasurementSpec,
-    OperationMap,
-    SequenceResult,
-    StepRecord,
-    apply_operation,
-    check_positivity_sampled,
-    conditioned_probability,
-    evolution_operation,
-    evolve,
-    identity_operation,
-    is_nonselective,
-    measurement_defects,
-    predict,
-    run_sequence,
-    update_state,
-)
-from .classical import (
-    PhaseSpace,
-    indicator_measurement,
-    join,
-    make_classical_space,
-    meet,
-    permutation_evolution,
-)
-from .quantum import (
-    ChoiReport,
-    KrausSet,
-    ObservableDecomposition,
-    StateVector,
-    apply_kraus,
-    born,
-    born_pure,
-    choi_cp_check,
-    from_matrix,
-    hamiltonian_evolution,
-    kraus_nonselective_check,
-    kraus_operation,
-    liouville_integrate,
-    luders,
-    luders_pure,
-    make_quantum_space,
-    pure_state,
-    schrodinger_integrate,
-    spectral_measurement,
-    to_matrix,
-    unitary_operation,
-)
-from .lattice import (
-    AntiLatticeWitness,
-    OrderRelation,
-    anti_lattice_witness,
-    classify_order,
-)
-from .scenario import (
-    BoundScenario,
-    CheckResult,
-    RunReport,
-    ScenarioDoc,
-    bind_scenario,
-    parse_scenario,
-    parse_scenario_text,
-    render_json,
-    render_report,
-    render_validation,
-    run_scenario,
-    serialize_scenario,
-    validate_scenario,
-)
+from .errors import *
+from .hermitian import *
+from .spaces import *
+from .probes import *
+from .operational import *
+from .classical import *
+from .quantum import *
+from .lattice import *
+from .scenario import *
+from . import classical, errors, hermitian, lattice, operational, probes, quantum
+from . import scenario, spaces
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntiLatticeWitness",
-    "BoundScenario",
-    "CheckResult",
-    "ChoiReport",
-    "ConvexOpError",
-    "DEFAULT_TOL",
-    "Element",
-    "EvolutionGroup",
-    "EvolveStep",
-    "IncompatibleBoundaryError",
-    "InvalidEvolutionError",
-    "KrausSet",
-    "MeasureStep",
-    "MeasurementSpec",
-    "ModelSpace",
-    "NotInConeError",
-    "NotNormalizedError",
-    "NotProjectorError",
-    "ObservableDecomposition",
-    "OperationMap",
-    "OrderRelation",
-    "PhaseSpace",
-    "ProbeFunctional",
-    "RunReport",
-    "ScenarioDoc",
-    "ScenarioError",
-    "ScenarioSchemaError",
-    "ScenarioSyntaxError",
-    "ScenarioValidationError",
-    "SequenceResult",
-    "SpaceMismatchError",
-    "StateVector",
-    "StepRecord",
-    "UNOBSERVED",
-    "UnknownOutcomeError",
-    "UnsupportedSpaceError",
-    "ZeroProbabilityError",
-    "ZeroStateError",
-    "anti_lattice_witness",
-    "apply_kraus",
-    "apply_operation",
-    "bind_scenario",
-    "born",
-    "born_pure",
-    "boundary_space",
-    "certify_proper",
-    "check_positivity_sampled",
-    "choi_cp_check",
-    "classify_order",
-    "completeness_check",
-    "compose",
-    "conditioned_probability",
-    "coords_to_matrix",
-    "evolution_operation",
-    "evolve",
-    "from_matrix",
-    "hamiltonian_evolution",
-    "hermitian_basis",
-    "identity_operation",
-    "indicator_measurement",
-    "inner",
-    "is_nonselective",
-    "is_positive",
-    "join",
-    "kraus_nonselective_check",
-    "kraus_operation",
-    "leq",
-    "liouville_integrate",
-    "luders",
-    "luders_pure",
-    "make_classical_space",
-    "make_quantum_space",
-    "map_to_probe",
-    "matrix_to_coords",
-    "measurement_defects",
-    "meet",
-    "normalize_state",
-    "order_unit_lambda",
-    "outcome_probability",
-    "pair",
-    "parse_scenario",
-    "parse_scenario_text",
-    "permutation_evolution",
-    "predict",
-    "probe_to_map",
-    "product_space",
-    "pure_state",
-    "random_density",
-    "random_hermitian",
-    "random_psd",
-    "random_unitary",
-    "render_json",
-    "render_report",
-    "render_validation",
-    "require_hermitian",
-    "run_scenario",
-    "run_sequence",
-    "sample_cone",
-    "scaled_tol",
-    "schrodinger_integrate",
-    "serialize_scenario",
-    "spectral_measurement",
-    "tensor_element",
-    "to_matrix",
-    "transparent_probe",
-    "unit_element",
-    "unitary_operation",
-    "update_state",
-    "validate_scenario",
-    "zero_element",
-    "zero_probe",
-]
+_MODULES = (errors, hermitian, spaces, probes, operational, classical, quantum, lattice,
+            scenario)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

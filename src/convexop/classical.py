@@ -19,6 +19,15 @@ from .errors import SpaceMismatchError, UnsupportedSpaceError
 from .operational import EvolutionGroup, MeasurementSpec, OperationMap, _first_bad_point
 from .spaces import Element, ModelSpace, require_same_space
 
+__all__ = [
+    "PhaseSpace",
+    "indicator_measurement",
+    "join",
+    "make_classical_space",
+    "meet",
+    "permutation_evolution",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpace:
@@ -35,7 +44,7 @@ class PhaseSpace:
             raise SpaceMismatchError(
                 f"measure length {mu.shape} does not match {self.n} points"
             )
-        if float(mu.min()) <= 0.0:
+        if not (mu > 0.0).all():  # also rejects a NaN entry
             raise ValueError("measure entries must be strictly positive")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)

@@ -34,6 +34,7 @@ from .errors import (
 from .lattice import anti_lattice_witness
 from .quantum import from_matrix, make_quantum_space
 from .scenario import (
+    _cone_check,
     parse_scenario,
     parse_witness_file,
     render_report,
@@ -42,7 +43,7 @@ from .scenario import (
     run_scenario,
     validate_scenario,
 )
-from .spaces import DEFAULT_TOL, cone_margin, margin_passes
+from .spaces import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -164,11 +165,9 @@ def _cmd_witness(args) -> int:
     # A's space then reports the mismatch
     ea, eb = (from_matrix(make_quantum_space(m.shape[0]), m) for m in (a, b))
     for name, x in (("A", ea), ("B", eb)):
-        low = cone_margin(x)
-        if not margin_passes(low, x.coords, args.tol):
-            raise ScenarioValidationError(
-                f"{name}: not positive semidefinite (min eigenvalue {low:.6e})"
-            )
+        check = _cone_check(x, name, args.tol)
+        if not check.passed:
+            raise ScenarioValidationError(f"{name}: not positive semidefinite ({check.detail})")
     if eb.space.psd_dim != ea.space.psd_dim:
         eb = from_matrix(ea.space, b)
     result = anti_lattice_witness(ea, eb, tol=args.tol, grid_step=args.grid_step)

@@ -1,5 +1,23 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConvexOpError",
+    "IncompatibleBoundaryError",
+    "InvalidEvolutionError",
+    "NotInConeError",
+    "NotNormalizedError",
+    "NotProjectorError",
+    "ScenarioError",
+    "ScenarioSchemaError",
+    "ScenarioSyntaxError",
+    "ScenarioValidationError",
+    "SpaceMismatchError",
+    "UnknownOutcomeError",
+    "UnsupportedSpaceError",
+    "ZeroProbabilityError",
+    "ZeroStateError",
+]
+
 
 class ConvexOpError(Exception):
     """Base class for all errors raised by this package."""

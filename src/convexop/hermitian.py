@@ -52,6 +52,17 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 
+__all__ = [
+    "coords_to_matrix",
+    "hermitian_basis",
+    "matrix_to_coords",
+    "random_density",
+    "random_hermitian",
+    "random_psd",
+    "random_unitary",
+    "require_hermitian",
+]
+
 HERMITICITY_TOL = 1e-12
 
 _workspace = threading.local()

@@ -16,8 +16,15 @@ import numpy as np
 
 from .errors import ConvexOpError, UnsupportedSpaceError
 from .quantum import from_matrix, to_matrix
-from .spaces import DEFAULT_TOL, Element, cone_margin, leq, margin_passes
+from .spaces import DEFAULT_TOL, Element, cone_margin, is_positive, leq, margin_passes
 from .spaces import require_same_space
+
+__all__ = [
+    "AntiLatticeWitness",
+    "OrderRelation",
+    "anti_lattice_witness",
+    "classify_order",
+]
 
 VERDICTS = ("less", "greater", "equal", "incomparable")
 
@@ -137,8 +144,9 @@ def anti_lattice_witness(
                 raise ConvexOpError(
                     f"internal witness failure: {name} bound is not below an input"
                 )
-    check = classify_order(from_matrix(space, c1), from_matrix(space, c2), tol)
-    if check.verdict != "incomparable":
+    # each difference at its own scale: the bounds may lie closer than the inputs
+    e1, e2 = from_matrix(space, c1), from_matrix(space, c2)
+    if is_positive(e2 - e1, tol) or is_positive(e1 - e2, tol):
         raise ConvexOpError("internal witness failure: bounds are comparable")
 
     dominator = _dominator_search(a, b, c1, c2, tol, grid_step)

@@ -43,6 +43,28 @@ from .spaces import (
     unit_element,
 )
 
+__all__ = [
+    "EvolutionGroup",
+    "EvolveStep",
+    "MeasureStep",
+    "MeasurementSpec",
+    "OperationMap",
+    "SequenceResult",
+    "StepRecord",
+    "UNOBSERVED",
+    "apply_operation",
+    "check_positivity_sampled",
+    "conditioned_probability",
+    "evolution_operation",
+    "evolve",
+    "identity_operation",
+    "is_nonselective",
+    "measurement_defects",
+    "predict",
+    "run_sequence",
+    "update_state",
+]
+
 SELECTIVITIES = ("selective", "nonselective")
 
 #: Outcome label wildcard: perform the measurement, discard the result.

@@ -38,6 +38,20 @@ from .spaces import (
     sample_cone,
 )
 
+__all__ = [
+    "ProbeFunctional",
+    "boundary_space",
+    "certify_proper",
+    "completeness_check",
+    "compose",
+    "map_to_probe",
+    "outcome_probability",
+    "pair",
+    "probe_to_map",
+    "transparent_probe",
+    "zero_probe",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class ProbeFunctional:

@@ -40,6 +40,30 @@ from .hermitian import (
 from .operational import EvolutionGroup, MeasurementSpec, OperationMap
 from .spaces import DEFAULT_TOL, Element, ModelSpace, margin_passes, pairing_passes, scaled_tol
 
+__all__ = [
+    "ChoiReport",
+    "KrausSet",
+    "ObservableDecomposition",
+    "StateVector",
+    "apply_kraus",
+    "born",
+    "born_pure",
+    "choi_cp_check",
+    "from_matrix",
+    "hamiltonian_evolution",
+    "kraus_nonselective_check",
+    "kraus_operation",
+    "liouville_integrate",
+    "luders",
+    "luders_pure",
+    "make_quantum_space",
+    "pure_state",
+    "schrodinger_integrate",
+    "spectral_measurement",
+    "to_matrix",
+    "unitary_operation",
+]
+
 
 def make_quantum_space(d: int, space_id: str | None = None) -> ModelSpace:
     """Model space of ``d x d`` Hermitian matrices with the trace inner product.
@@ -360,7 +384,8 @@ def unitary_operation(space: ModelSpace, u: np.ndarray) -> OperationMap:
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise UnsupportedSpaceError(f"unitary shape {u.shape} does not fit size {d}")
-    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-10:  # NaN fails
+    # a non-finite entry fails before the product, which would warn on it
+    if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-10):
         raise ValueError("matrix is not unitary within tolerance")
     return OperationMap._taking(space, kraus_matrix(u[np.newaxis]), "nonselective")
 

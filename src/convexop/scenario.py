@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _json_string  # json.dumps o
 
 import numpy as np
 import yaml
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.constructor import ConstructorError
 
 from .classical import (
     PhaseSpace,
@@ -92,6 +92,22 @@ from .spaces import (
     pairing_passes,
     unit_element,
 )
+
+__all__ = [
+    "BoundScenario",
+    "CheckResult",
+    "RunReport",
+    "ScenarioDoc",
+    "bind_scenario",
+    "parse_scenario",
+    "parse_scenario_text",
+    "render_json",
+    "render_report",
+    "render_validation",
+    "run_scenario",
+    "serialize_scenario",
+    "validate_scenario",
+]
 
 #: Largest quantum ``model.d``, checked before any allocation: maps take d**4 floats.
 MAX_QUANTUM_DIM = 16
@@ -366,7 +382,11 @@ class ScenarioDoc:
 #: to PyYAML.
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+][0-9]+)?)?")
 
-_NUMBER_TYPES = {"tag:yaml.org,2002:int": int, "tag:yaml.org,2002:float": float}
+#: What ``_Loader`` builds itself, by node kind and the tag PyYAML resolved.
+_PLAIN = {(kind, "tag:yaml.org,2002:" + tag): build for kind, tag, build in [
+    ("scalar", "str", str), ("scalar", "int", int), ("scalar", "float", float),
+    ("sequence", "seq", list), ("mapping", "map", dict),
+]}
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -382,49 +402,66 @@ class _Loader(_SAFE_LOADER):
     """Safe YAML loading, through libyaml where PyYAML has it, that rejects
     a key repeated in one mapping instead of keeping its last value.
 
-    PyYAML's resolver tags every scalar.  A plain decimal literal
-    (:data:`_DECIMAL`) it tags int or float is built by ``int()`` or
-    ``float()`` instead of PyYAML's constructor, and an empty sequence
-    starting at a key of ``number_lists`` is constructed as the list it maps
-    to, once.
+    PyYAML's resolver tags every node.  :meth:`construct_object` builds the
+    plain ones itself: str scalars, int and float scalars whose text is a
+    plain decimal literal (:data:`_DECIMAL`), and untagged sequences and
+    mappings.  Every other node goes to PyYAML's constructors, which call
+    back here for their items.  An empty sequence starting at a key of
+    ``number_lists`` is constructed as the list it maps to, once.
     """
 
     number_lists: dict = {}
 
-    def construct_number(self, node):
-        convert, text = _NUMBER_TYPES[node.tag], node.value
-        # an explicit "!!int 1.5" keeps PyYAML's error; "!!float 2" is 2.0
-        if isinstance(node, ScalarNode) and _DECIMAL.fullmatch(text):
-            if convert is float or "." not in text:
-                return convert(text)
-        return _SAFE_LOADER.yaml_constructors[node.tag](self, node)
+    def construct_object(self, node, deep=False):
+        kind = _PLAIN.get((node.id, node.tag))
+        if kind is str:
+            return node.value
+        if kind is int or kind is float:
+            # an explicit "!!int 1.5" keeps PyYAML's error; "!!float 2" is 2.0
+            if _DECIMAL.fullmatch(node.value) and (kind is float or "." not in node.value):
+                return kind(node.value)
+        elif kind is not None and not (deep or self.deep_construct):  # deep: PyYAML's
+            if node not in self.constructed_objects:  # else an alias of it
+                if kind is list and not node.value:  # maybe a blanked number list
+                    data = self.number_lists.pop(node.start_mark.index, [])
+                else:  # filled from PyYAML's queue, so nesting costs no recursion
+                    data = kind()
+                    self.state_generators.append(self._fill(data, node))
+                self.constructed_objects[node] = data
+            return self.constructed_objects[node]
+        return super().construct_object(node, deep)
 
-    yaml_constructors = dict(_SAFE_LOADER.yaml_constructors)
-    yaml_constructors.update(dict.fromkeys(_NUMBER_TYPES, construct_number))
+    def _fill(self, data, node):
+        """Fill ``data``, the empty list or dict built for ``node``, once
+        PyYAML's queue reaches it.  A whole nesting level of these waits in
+        the queue at once, so the generator holds no more than its arguments."""
+        yield
+        if isinstance(data, list):
+            data.extend(map(self.construct_object, node.value))
+        else:
+            self._fill_mapping(data, node)
 
-    def construct_sequence(self, node, deep=False):
-        if isinstance(node, SequenceNode) and not node.value:  # maybe a blanked list
-            return self.number_lists.pop(node.start_mark.index, None) or []
-        return super().construct_sequence(node, deep=deep)
-
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        # a node of another kind is left to the base constructor to report
-        for key_node, _ in node.value if isinstance(node, MappingNode) else ():
+    def _fill_mapping(self, data, node):
+        """Build a mapping in one pass over its own pairs, merge keys aside."""
+        merged = False
+        for key_node, value_node in node.value:
             if key_node.tag == "tag:yaml.org,2002:merge":
+                merged = True
                 continue
-            key = self.construct_object(key_node, deep=deep)
+            key = self.construct_object(key_node)
             try:
-                duplicate = key in seen
-                seen.add(key)
-            except TypeError:  # unhashable: the base constructor reports it
-                continue
+                duplicate = key in data
+            except TypeError:
+                raise ConstructorError("while constructing a mapping", node.start_mark,
+                                       "found unhashable key", key_node.start_mark) from None
             if duplicate:
-                raise yaml.constructor.ConstructorError(
-                    problem=f"found duplicate key {key!r}",
-                    problem_mark=key_node.start_mark,
-                )
-        return super().construct_mapping(node, deep=deep)
+                raise ConstructorError(problem=f"found duplicate key {key!r}",
+                                       problem_mark=key_node.start_mark)
+            data[key] = self.construct_object(value_node)
+        if merged:  # SafeLoader's order: merged pairs first, the mapping's own keys win
+            rebuilt = self.construct_mapping(node)
+            data.clear()
+            data.update(rebuilt)
 
 
 def _check_nesting(text: str) -> None:

@@ -32,6 +32,23 @@ from .errors import (
 )
 from .hermitian import coords_to_matrix, matrix_to_coords, random_psd
 
+__all__ = [
+    "DEFAULT_TOL",
+    "Element",
+    "ModelSpace",
+    "inner",
+    "is_positive",
+    "leq",
+    "normalize_state",
+    "order_unit_lambda",
+    "product_space",
+    "sample_cone",
+    "scaled_tol",
+    "tensor_element",
+    "unit_element",
+    "zero_element",
+]
+
 DEFAULT_TOL = 1e-9
 
 CONE_KINDS = ("componentwise", "psd", "product")
@@ -132,7 +149,7 @@ class ModelSpace:
         if cone_kind == "componentwise":
             if psd_dim is not None:
                 raise ValueError("psd_dim only applies to the psd cone kind")
-            if float(unit.min()) <= 0.0:
+            if not unit.min() > 0.0:  # also rejects a NaN entry
                 raise ValueError("componentwise order unit must be strictly positive")
         elif cone_kind == "psd":
             if psd_dim is None or psd_dim ** 2 != dim:
@@ -279,9 +296,10 @@ def is_positive(b: Element, tol: float = DEFAULT_TOL) -> bool:
 
 
 def leq(b: Element, c: Element, tol: float = DEFAULT_TOL) -> bool:
-    """Partial order: ``b <= c`` iff ``c - b`` lies in the cone."""
+    """Partial order: ``b <= c`` iff ``c - b`` lies in the cone, judged at the
+    scale of both operands, so that equal elements up to rounding compare equal."""
     require_same_space(b.space, c.space)
-    return is_positive(c - b, tol)
+    return margin_passes(cone_margin(c - b), np.concatenate((b.coords, c.coords)), tol)
 
 
 def order_unit_lambda(b: Element) -> float:
