@@ -8,9 +8,10 @@ schema; unknown fields are rejected.
 
 Complex numbers are written as ``[re, im]`` pairs wherever a matrix or
 amplitude entry allows them.  A one-line list of plain decimal numbers is
-read in one ``json.loads`` call, with the values, errors and exit codes of
-a plain YAML load.  Reports are rendered to a canonical JSON text with reals
-at 17 significant digits, so identical documents produce byte-identical reports.
+read in one ``json.loads`` call, and a plain block document line by line,
+with the values, errors and exit codes of a plain YAML load.  Reports are
+rendered to a canonical JSON text with reals at 17 significant digits, so
+identical documents produce byte-identical reports.
 
 Measurement forms
 -----------------
@@ -39,7 +40,8 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, filterfalse
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 
 import numpy as np
@@ -173,12 +175,6 @@ def _real(value, path: str) -> None:
         _fail(path, "expected a finite number")
 
 
-def _is_complex(value) -> bool:
-    if not isinstance(value, list):
-        return _is_real(value)
-    return len(value) == 2 and _is_real(value[0]) and _is_real(value[1])
-
-
 def _complex(value, path: str) -> None:
     if not isinstance(value, list):
         return _real(value, path)
@@ -194,7 +190,20 @@ _real.accepts_all = lambda values: (
     and max(map(abs, values), default=0) <= sys.float_info.max
     and all(map(math.isfinite, values))
 )
-_complex.accepts_all = lambda values: all(map(_is_complex, values))
+_is_list = partial(type.__instancecheck__, list)
+
+
+def _all_complex(values) -> bool:
+    # the reals, then the pairs: their lengths, then their entries
+    pairs = list(filter(_is_list, values))
+    return (
+        _real.accepts_all(list(filterfalse(_is_list, values)))
+        and set(map(len, pairs)) <= {2}
+        and _real.accepts_all(list(chain.from_iterable(pairs)))
+    )
+
+
+_complex.accepts_all = _all_complex
 
 
 def _matrix(entry):
@@ -397,20 +406,124 @@ _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 #: ``-?(0|[1-9][0-9]*)(\.[0-9]+([eE][-+][0-9]+)?)?``.
 _NUMBER_LIST = re.compile(r"\[N(?:\[N(?:\[N\]N)*\]N)*\]".replace("N", "[-+.0-9eE, ]*"))
 
+#: One line of a plain block document: indent, then a full-line comment, or
+#: an optional "- ", an optional key and its colon and an optional value.
+#: A scalar is a word or number of plain characters, or a double-quoted
+#: string without escapes; a value may also be "[]".  Printable ASCII only:
+#: a tab, "\r" or any other character lands in the last group.
+_LINE = re.compile(
+    r'^( *)(?:#[ -~]*|(- +)?(?:(T):(?: +|$))?(T|\[\])?) *(.*)$'.replace(
+        "T", r'[-+.]?[0-9A-Za-z_][-+.0-9A-Za-z_]*|"[ !#-[\]-~]*"'
+    ),
+    re.M,
+)
+
+
+class _NotPlain(Exception):
+    """A text off the line reader's grammar, left to libyaml whole."""
+
 
 class _Loader(_SAFE_LOADER):
     """Safe YAML loading, through libyaml where PyYAML has it, that rejects
     a key repeated in one mapping instead of keeping its last value.
 
-    PyYAML's resolver tags every node.  :meth:`construct_object` builds the
-    plain ones itself: str scalars, int and float scalars whose text is a
-    plain decimal literal (:data:`_DECIMAL`), and untagged sequences and
-    mappings.  Every other node goes to PyYAML's constructors, which call
-    back here for their items.  An empty sequence starting at a key of
-    ``number_lists`` is constructed as the list it maps to, once.
+    A plain block document is read line by line (:data:`_LINE`), with no
+    node composed: block mappings and sequences, plain or double-quoted keys,
+    full-line comments, words that the resolver tags str, plain decimals
+    (:data:`_DECIMAL`) and ``[]`` values, which take the lists of
+    ``number_lists`` in order.  Any other text, or a repeated key, goes to
+    libyaml whole.  There PyYAML's resolver tags every node, and
+    :meth:`construct_object` builds the plain ones itself: str scalars, int
+    and float scalars whose text is a plain decimal literal, and untagged
+    sequences and mappings.  Every other node goes to PyYAML's constructors,
+    which call back here for their items.  An empty sequence starting at a
+    key of ``number_lists`` is constructed as the list it maps to, once.
     """
 
     number_lists: dict = {}
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.text = stream
+        self.written = {}  # each mapping node's pairs before a merge flattened it
+
+    def get_single_data(self):
+        if isinstance(self.text, str):
+            try:
+                return self._read_lines(self.text)
+            except _NotPlain:
+                pass
+        return super().get_single_data()
+
+    def _read_lines(self, text):
+        """The data of a plain block document, in one pass with an explicit
+        stack; raises :class:`_NotPlain` on anything else."""
+        lists, words = iter(self.number_lists.values()), {}  # words: each str read so far
+
+        def scalar(token):
+            if token in words:
+                return words[token]
+            if token == "[]":
+                return next(lists, None) or []
+            if _DECIMAL.fullmatch(token):  # the int and float of construct_object
+                return float(token) if "." in token else int(token)
+            if token[0] == '"':
+                words[token] = token[1:-1]
+            elif self.resolve(yaml.ScalarNode, token, (True, False)) == "tag:yaml.org,2002:str":
+                words[token] = token
+            else:
+                raise _NotPlain
+            return words[token]
+
+        root, stack, pending = None, [], None  # stack: (column, collection)
+        for indent, dash, key, value, rest in _LINE.findall(text):
+            if rest or len(key) > 1024:  # libyaml's longest simple key
+                raise _NotPlain
+            if not (dash or key or value):
+                continue  # a blank or comment line
+            column = len(indent)
+            if root is None:
+                root = [] if dash else {}
+                stack.append((column, root))
+            elif pending is not None:  # a deeper mapping, or a sequence from the key's column
+                if column < stack[-1][0] + (not dash):
+                    raise _NotPlain  # an empty value
+                stack[-1][1][pending] = node = [] if dash else {}
+                stack.append((column, node))
+                pending = None
+            else:  # close what this line's column ends, a sequence at its key's column too
+                while stack and (stack[-1][0] > column or stack[-1][0] == column
+                                 and not dash and type(stack[-1][1]) is list):
+                    stack.pop()
+                if not stack or (stack[-1][0], type(stack[-1][1]) is list) != (column, bool(dash)):
+                    raise _NotPlain
+            node = stack[-1][1]
+            if dash and key:  # a compact mapping starts after the "- "
+                item = {}
+                node.append(item)
+                node = item
+                stack.append((column + len(dash), node))
+            elif dash and value:
+                node.append(scalar(value))
+                continue
+            elif not key:
+                raise _NotPlain  # a lone "- " or scalar
+            key = scalar(key)
+            if key in node:
+                raise _NotPlain  # libyaml's walk names the repeated key
+            if value:
+                node[key] = scalar(value)
+            else:
+                pending = key
+        if pending is not None or next(lists, None) is not None:
+            raise _NotPlain
+        self.number_lists.clear()
+        return root
+
+    def flatten_mapping(self, node):
+        # PyYAML flattens in place, and a node may be flattened again: keep the first pairs
+        self.written.setdefault(node, node.value[:])
+        super().flatten_mapping(node)
 
     def construct_object(self, node, deep=False):
         kind = _PLAIN.get((node.id, node.tag))
@@ -442,12 +555,15 @@ class _Loader(_SAFE_LOADER):
             self._fill_mapping(data, node)
 
     def _fill_mapping(self, data, node):
-        """Build a mapping in one pass over its own pairs, merge keys aside."""
+        """Build a mapping in one pass over its own pairs, merge keys aside;
+        a key tagged ``value`` ("=") is a str, as ``flatten_mapping`` has it."""
         merged = False
-        for key_node, value_node in node.value:
+        for key_node, value_node in self.written.get(node, node.value):
             if key_node.tag == "tag:yaml.org,2002:merge":
                 merged = True
                 continue
+            if key_node.tag == "tag:yaml.org,2002:value":
+                key_node.tag = "tag:yaml.org,2002:str"
             key = self.construct_object(key_node)
             try:
                 duplicate = key in data
