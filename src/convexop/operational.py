@@ -382,8 +382,10 @@ class EvolutionGroup:
             # the pairing with the order unit must survive the shift, which
             # for g = weights * unit means g is constant on every orbit
             g = self.space.weights * self.space.unit
+            if not np.isfinite(g).all():  # no finite scale to judge a drift by
+                raise InvalidEvolutionError("the measure times the order unit is not finite")
             drift = float(np.abs(g[perm] - g).max())
-            if drift > scaled_tol(1e-12, g):
+            if not drift <= scaled_tol(1e-12, g):
                 raise InvalidEvolutionError("permutation does not preserve the measure")
             perm.setflags(write=False)
             object.__setattr__(self, "permutation", perm)
@@ -482,43 +484,42 @@ def _members(group: EvolutionGroup, deltas: list):
     phase ``p_i conj(p_j)``, ``p = exp(-i delta w)``, of each eigenbasis entry
     ``(i, j)``; not ``exp(-i delta (w_i - w_j))``, whose gap can overflow.
 
-    The phases of :data:`_BLOCK` times, which :class:`EvolveStep` checked, are
-    computed in one call, and each member is built as it is needed.
+    The phases of :data:`_BLOCK` times, which :class:`EvolveStep` checked, and
+    their conjugates are computed in one call each, and each member is built as
+    it is needed.
     """
     w = group.spectrum[0]
-    blocks = (
-        np.exp(np.multiply.outer([-1j * delta for delta in deltas[k:k + _BLOCK]], w))
-        for k in range(0, len(deltas), _BLOCK)
-    )
-    # one outer product per member: one over a block of them would multiply
-    # through another numpy loop, whose bits differ
-    return ((p[:, np.newaxis] * p.conj()).ravel() for phases in blocks for p in phases)
+    for k in range(0, len(deltas), _BLOCK):
+        phases = np.exp(np.multiply.outer([-1j * delta for delta in deltas[k:k + _BLOCK]], w))
+        # one outer product per member: one over a block of them would multiply
+        # through another numpy loop, whose bits differ
+        for p, q in zip(phases, phases.conj()):
+            yield (p[:, np.newaxis] * q).ravel()
 
 
 def _evolve_stretch(group: EvolutionGroup, deltas: list, branches) -> list:
     """Elements ``branches`` after the group's time-``delta`` members, one
     delta after another.
 
-    Between steps a branch is a bare coordinate array; it becomes an
-    :class:`Element` once, at the end.  Permutation times, which
-    :class:`EvolveStep` checked, add up to one shift.
+    Between steps the branches are one stacked coordinate array, a column per
+    branch, so that each product is one matrix-vector product per branch in a
+    single call; each becomes an :class:`Element` once, at the end.
+    Permutation times, which :class:`EvolveStep` checked, add up to one shift.
     """
+    for b in branches:
+        require_same_space(group.space, b.space)
+    x = np.array([b.coords for b in branches])
     if group.kind == "permutation":
         # the value at i moves to image[i], so the value at j comes from
         # where the reverse shift sends j
-        source = _permutation_power(group, -sum(int(round(delta)) for delta in deltas))
-    else:
-        members = _members(group, deltas)
-    for b in branches:
-        require_same_space(group.space, b.space)
-    coords = [b.coords for b in branches]
-    if group.kind == "permutation":
-        coords = [x[source] for x in coords]
+        x = x[:, _permutation_power(group, -sum(int(round(delta)) for delta in deltas))]
     else:
         eig, back = group.eigen_frame
-        for m in members:
-            coords = [np.real(back @ (m * (eig @ x))) for x in coords]
-    return [Element(b.space, x) for b, x in zip(branches, coords)]
+        x = x[:, :, np.newaxis]
+        for m in _members(group, deltas):
+            x = (back @ (m[:, np.newaxis] * (eig @ x))).real
+        x = x[:, :, 0]
+    return [Element(b.space, row) for b, row in zip(branches, x)]
 
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:

@@ -132,6 +132,8 @@ MAX_NESTING_WORK = 2 * MAX_NESTING**2
 # order.  The empty path is the document root.  A leaf checker also carries
 # ``check.accepts_all(values)``, true only where every entry passes: lists and
 # matrix rows walk their entries, building paths, only to name a violation.
+# A list also skips the walk of each entry that its item's cheap
+# ``check.accepts(value)`` passes, where the item has one.
 
 def _fail(path: str, message: str):
     raise ScenarioSchemaError(f"{path or 'document'}: {message}")
@@ -226,6 +228,7 @@ def _matrix(entry):
 
 def _list(noun: str, item, nonempty: bool = False):
     accepts_all = getattr(item, "accepts_all", None)  # only leaves carry one
+    accepts = getattr(item, "accepts", None)
 
     def check(value, path: str) -> None:
         if not isinstance(value, list) or (nonempty and not value):
@@ -233,7 +236,8 @@ def _list(noun: str, item, nonempty: bool = False):
         if accepts_all is not None and accepts_all(value):
             return
         for k, entry in enumerate(value):
-            item(entry, f"{path}[{k}]")
+            if accepts is None or not accepts(entry):
+                item(entry, f"{path}[{k}]")
 
     return check
 
@@ -346,6 +350,18 @@ def _step(value, path: str) -> None:
         _fail(path, "expected a single 'measure' or 'evolve' field")
     ((key, payload),) = step.items()
     _STEPS[key](payload, f"{path}.{key}")
+
+
+def _is_evolve_step(value) -> bool:
+    """Whether ``value`` is ``{"evolve": {"delta": <finite real>}}`` in plain
+    dicts, which :func:`_step` passes; anything else is left to the walk."""
+    if type(value) is not dict or len(value) != 1:
+        return False
+    payload = value.get("evolve")
+    return type(payload) is dict and len(payload) == 1 and _is_real(payload.get("delta"))
+
+
+_step.accepts = _is_evolve_step
 
 
 _SCENARIO = _record(
@@ -619,6 +635,9 @@ def _load_numbers_apart(text: str):
 
     def blank(match) -> str:
         span = match.group()
+        line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
+        if re.search(r"(?:^|[ \t])#", line):  # a list in a comment is never read
+            return span
         # YAML 1.1 reads "1e5" and "1.0e5" as strings
         exponents = span.count("e") + span.count("E")
         if exponents and len(re.findall(r"\.[0-9]+[eE][-+]", span)) != exponents:
@@ -1028,7 +1047,12 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Plain serializable run result; see :func:`render_report`."""
+    """Plain serializable run result; see :func:`render_report`.
+
+    ``per_step`` holds one row per step, and the steps that share a
+    :class:`StepRecord`, such as every evolve step, share one row dict: do not
+    mutate the rows.
+    """
 
     probability: float
     per_step: tuple
@@ -1077,14 +1101,15 @@ def run_scenario(doc: ScenarioDoc, tol: float = DEFAULT_TOL) -> RunReport:
         raise ScenarioValidationError(f"validation failed: {summary}", checks)
     initial = normalize_state(bound.initial, tol)
     result = run_sequence(initial, bound.steps, bound.post_selection, tol)
-    per_step = tuple(
-        {
-            "name": r.name,
-            "outcome": r.outcome,
-            "conditional_probability": float(r.conditional_probability),
-        }
-        for r in result.records
-    )
+    rows = {}  # one row per record object, keyed by its id
+    for r in result.records:
+        if id(r) not in rows:
+            rows[id(r)] = {
+                "name": r.name,
+                "outcome": r.outcome,
+                "conditional_probability": float(r.conditional_probability),
+            }
+    per_step = tuple(rows[id(r)] for r in result.records)
     return RunReport(
         probability=float(result.probability),
         per_step=per_step,
@@ -1126,17 +1151,17 @@ def _is_scalar(value) -> bool:
 
 def _render(value, indent: int, rows: dict) -> str:
     """``value`` laid out at ``indent``.  ``rows`` holds the text of each
-    mapping of scalars rendered so far, keyed by the indent and each entry's
-    key and value with their types, so that ``1``, ``1.0`` and ``True`` never
-    share text."""
+    mapping rendered so far, keyed by the indent and the mapping's ``id``: the
+    whole value holds every mapping in it until the call returns, so an ``id``
+    names one object throughout."""
     pad = " " * indent
     if isinstance(value, dict):
-        if not all(map(_is_scalar, value.values())):
-            return _render_mapping(value, indent, lambda v: _render(v, indent + 2, rows))
-        row = (indent, *[(type(k), k, type(v), v) for k, v in value.items()])
+        row = (indent, id(value))
         text = rows.get(row)
         if text is None:
-            text = rows[row] = _render_mapping(value, indent, _render_scalar)
+            text = rows[row] = _render_mapping(
+                value, indent, lambda v: _render(v, indent + 2, rows)
+            )
         return text
     if isinstance(value, (list, tuple)):
         items = list(value)
@@ -1169,8 +1194,8 @@ def _render_mapping(value: dict, indent: int, render_value) -> str:
 
 def render_json(value) -> str:
     """Canonical report text: fixed layout, reals at 17 significant digits.
-    A mapping of scalars that repeats, such as the row of every evolve
-    step, is rendered once per call."""
+    A mapping that appears more than once, such as the row that every evolve
+    step of a report shares, is rendered once per call at each indent."""
     return _render(value, 0, {}) + "\n"
 
 

@@ -134,10 +134,11 @@ class ModelSpace:
                 f"unit length {unit.shape} does not fit dimension {dim}"
             )
         if weights.ndim == 2:
-            if np.abs(weights - weights.T).max() > scaled_tol(1e-12, weights):
-                raise ValueError("metric must be symmetric")
             off_diagonal = weights.copy()
             np.fill_diagonal(off_diagonal, 0.0)
+            # a NaN fails; the diagonal, where inf - inf is NaN, never counts
+            if not np.abs(off_diagonal - off_diagonal.T).max() <= scaled_tol(1e-12, weights):
+                raise ValueError("metric must be symmetric")
             if off_diagonal.any():
                 raise ValueError(
                     "metric must be diagonal in the storage basis; an "

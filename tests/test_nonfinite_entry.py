@@ -13,7 +13,8 @@ these pin the parent's verdict.
 import numpy as np
 import pytest
 
-from convexop.classical import PhaseSpace, make_classical_space
+from convexop.classical import PhaseSpace, make_classical_space, permutation_evolution
+from convexop.errors import InvalidEvolutionError
 from convexop.quantum import make_quantum_space, unitary_operation
 from convexop.spaces import ModelSpace
 
@@ -42,3 +43,33 @@ def test_finite_measures_and_units_still_pass():
 def test_unitary_operation_refuses_non_finite_entries_without_a_warning(bad):
     with pytest.raises(ValueError, match="matrix is not unitary within tolerance"):
         unitary_operation(make_quantum_space(2), [[bad, 0], [0, 1]])
+
+
+# ``EvolutionGroup`` judges a permutation's measure drift against a scaled
+# bound, and ``ModelSpace`` a metric's asymmetry, each written so that a NaN
+# fails (``not drift <= bound``).  An infinite entry of ``weights * unit``
+# leaves no finite scale: the bound was inf, so a swap of an infinite point
+# with a finite one passed, and a fixed infinite point made the drift NaN.
+
+
+@pytest.mark.parametrize("mu, image", [
+    ([INF, 1.0, 1.0], [1, 0, 2]),  # drift inf against an inf bound
+    ([INF, 1.0, 2.0], [0, 2, 1]),  # drift NaN: finite points of unequal measure swap
+    ([INF, 1.0, 1.0], [0, 1, 2]),
+])
+def test_a_permutation_of_an_infinite_measure_is_refused(mu, image):
+    with pytest.raises(InvalidEvolutionError, match="the measure times the order unit is not finite"):
+        permutation_evolution(make_classical_space(PhaseSpace(3, mu)), image)
+
+
+def test_a_finite_measure_still_judges_its_drift():
+    space = make_classical_space(PhaseSpace(3, [1.0, 2.0, 1.0]))
+    assert permutation_evolution(space, [2, 1, 0]).permutation.tolist() == [2, 1, 0]
+    with pytest.raises(InvalidEvolutionError, match="permutation does not preserve the measure"):
+        permutation_evolution(space, [1, 0, 2])
+
+
+@pytest.mark.parametrize("metric", [[[1.0, NAN], [0.0, 1.0]], [[1.0, 0.0], [NAN, 1.0]]])
+def test_a_nan_off_the_diagonal_makes_a_metric_asymmetric(metric):
+    with pytest.raises(ValueError, match="metric must be symmetric"):
+        ModelSpace("c", 2, metric, "componentwise", [1.0, 1.0])

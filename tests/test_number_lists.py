@@ -137,3 +137,15 @@ def test_an_integer_past_the_digit_limit_is_still_unreadable():
     text = values(["0.5"] * 3 + ["1" * 5000])
     with pytest.raises(ScenarioSyntaxError, match="unreadable scalar"):
         parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("text, data", [
+    ("# [1]\na: 1\n", {"a": 1}),
+    ("a: 1 # [1, 2]\n", {"a": 1}),
+    ("a: [1, 2] # [3]\nb:\n  - 4\t# [5]\n", {"a": [1, 2], "b": [4]}),
+])
+def test_a_number_list_in_a_comment_loads_the_text_once(text, data):
+    # a list after "#" at the start of its line or after a space is a comment's
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+        assert scenario._load_yaml(text) == data
+    assert load.call_count == 1

@@ -1,9 +1,10 @@
 """Rows that repeat in a report are rendered once per call, with their own text.
 
-``render_json`` keeps the text of each mapping of scalars it has rendered,
-keyed by the indent and each entry's key and value with their types:
-``1``, ``1.0``, ``True``, ``"1"`` and ``np.int64(1)`` compare or hash alike
-in places, and must still each get their own text.
+``render_json`` keeps the text of each mapping it has rendered, keyed by the
+indent and the mapping's ``id``, and a report's rows of one shared record are
+one object.  ``1``, ``1.0``, ``True``, ``"1"`` and ``np.int64(1)`` compare or
+hash alike in places, and rows holding them must still each get their own
+text.
 """
 
 import hashlib
@@ -110,3 +111,32 @@ def test_a_post_selected_300_step_report_keeps_its_bytes():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f0f9095f61163d4a680498f074fd9c8be4298e435b9eb24598bd7f5661f015ec"
     )
+
+
+def test_one_row_object_at_two_indents_and_twice_in_one_list():
+    row = {"x": 1}
+    assert render_json({"a": row, "b": [row, {"x": True}, row], "c": row}) == (
+        '{\n  "a": {\n    "x": 1\n  },\n  "b": [\n    {\n      "x": 1\n    },\n'
+        '    {\n      "x": true\n    },\n    {\n      "x": 1\n    }\n  ],\n'
+        '  "c": {\n    "x": 1\n  }\n}\n'
+    )
+    # one object per alike value, each shared through the list and at two indents
+    rows = [{"x": value} for value in VALUES]
+    order = [0, 2, 1, 2, 3, 4, 0, 2, 3, 1, 4, 4, 2]
+    shared = [rows[k] for k in order]
+    texts = [TEXTS[k] for k in order]
+    assert render_json({"a": shared, "b": shared[::-1]}) == (
+        '{\n  "a": [\n' + rows_text(texts, 2) + "\n  ],\n"
+        '  "b": [\n' + rows_text(texts[::-1], 2) + "\n  ]\n}\n"
+    )
+    assert render_json([shared, shared]) == (
+        "[\n  [\n" + rows_text(texts, 2) + "\n  ],\n  [\n" + rows_text(texts, 2) + "\n  ]\n]\n"
+    )
+
+
+def test_a_report_shares_one_row_per_record():
+    report = run_scenario(parse_scenario_text(post_selected_document()))
+    evolved = [row for row in report.per_step if row["name"] == "evolve"]
+    assert len(evolved) == 294 and all(row is evolved[0] for row in evolved)
+    measured = [row for row in report.per_step if row["name"] != "evolve"]
+    assert len({id(row) for row in measured}) == len(measured) == 7
