@@ -46,6 +46,8 @@ class PhaseSpace:
             )
         if not (mu > 0.0).all():  # also rejects a NaN entry
             raise ValueError("measure entries must be strictly positive")
+        if not np.isfinite(mu).all():  # an inf, or a NaN
+            raise ValueError("measure entries must be finite")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 

@@ -431,21 +431,36 @@ class EvolutionGroup:
         rows)`` per length, where row ``c`` of ``rows`` runs twice round the
         ``c``-th cycle of that length in orbit order and ``points`` holds the
         first round of every row, so that ``rows[:, r:r + length]`` are the
-        images ``r`` steps on."""
-        image = self.permutation.tolist()
-        by_length = {}
-        for start in range(len(image)):
-            cycle, point = [], start
-            while image[point] >= 0:  # a point is marked -1 once in a cycle
-                cycle.append(point)
-                image[point], point = -1, image[point]
-            if cycle:
-                by_length.setdefault(len(cycle), []).extend(cycle)
-        cycles = []
-        for length, points in by_length.items():
-            points = np.array(points, dtype=np.intp)
-            rows = points.reshape(-1, length)
-            cycles.append((length, points, np.hstack([rows, rows])))
+        images ``r`` steps on.  Lengths ascend, and each cycle starts at its
+        least point, in the order of those points.
+
+        They are found by pointer doubling on ``key = least * span + ahead``:
+        after round ``k`` each point holds the least of its next ``2**(k + 1)``
+        images, from itself on, and the fewest steps on to it."""
+        perm = self.permutation
+        n = perm.size
+        rounds = (n - 1).bit_length()  # 2**rounds >= n, the longest cycle
+        span = 1 << rounds
+        key, jump = np.arange(n) * span, perm
+        for k in range(rounds):
+            key = np.minimum(key, key.take(jump) + (1 << k))
+            jump = jump.take(jump)
+        least, ahead = key >> rounds, key & (span - 1)
+        sizes = np.bincount(least, minlength=n)  # a cycle's length at its least point
+        leaders = np.flatnonzero(sizes)
+        order = leaders[np.argsort(sizes[leaders], kind="stable")]  # by length, then by point
+        start = np.empty(n, dtype=np.intp)  # where each cycle starts in the output
+        start[order] = np.cumsum(sizes[order]) - sizes[order]
+        size = sizes[least]
+        points = np.empty(n, dtype=np.intp)
+        points[start[least] + (size - ahead) % size] = np.arange(n)
+        counts = np.bincount(sizes[leaders])  # cycles of each length
+        cycles, stop = [], 0
+        for length in np.flatnonzero(counts).tolist():
+            block = points[stop:stop + length * counts[length]]
+            stop += block.size
+            rows = block.reshape(-1, length)
+            cycles.append((length, block, np.hstack([rows, rows])))
         return tuple(cycles)
 
 

@@ -454,9 +454,17 @@ class _Loader(_SAFE_LOADER):
     sequences and mappings.  Every other node goes to PyYAML's constructors,
     which call back here for their items.  An empty sequence starting at a
     key of ``number_lists`` is constructed as the list it maps to, once.
+
+    :func:`_check_nesting` walks the raw text before libyaml composes it, and
+    after the line reader has read it only where the reader's bound could
+    pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
     """
 
     number_lists: dict = {}
+    #: The raw text of a load under "text" until :meth:`check_nesting` walks it,
+    #: then the walk's error, if any, under "error": the loads of one text share
+    #: it, so the text is walked at most once.
+    nesting: dict = {}
 
     def __init__(self, stream):
         super().__init__(stream)
@@ -469,7 +477,20 @@ class _Loader(_SAFE_LOADER):
                 return self._read_lines(self.text)
             except _NotPlain:
                 pass
+        self.check_nesting()  # before libyaml composes the text
         return super().get_single_data()
+
+    def check_nesting(self):
+        """:func:`_check_nesting` on the raw text the first time; a walk that
+        failed fails every later check alike."""
+        nesting = self.nesting
+        if "text" in nesting:
+            try:
+                _check_nesting(nesting.pop("text"))
+            except Exception as exc:
+                nesting["error"] = exc
+        if "error" in nesting:
+            raise nesting["error"]
 
     def _read_lines(self, text):
         """The data of a plain block document, in one pass with an explicit
@@ -491,8 +512,9 @@ class _Loader(_SAFE_LOADER):
                 raise _NotPlain
             return words[token]
 
-        root, stack, pending = None, [], None  # stack: (column, collection)
-        for indent, dash, key, value, rest in _LINE.findall(text):
+        root, stack, pending, deepest = None, [], None, 1  # stack: (column, collection)
+        lines = _LINE.findall(text)
+        for indent, dash, key, value, rest in lines:
             if rest or len(key) > 1024:  # libyaml's longest simple key
                 raise _NotPlain
             if not (dash or key or value):
@@ -506,6 +528,7 @@ class _Loader(_SAFE_LOADER):
                     raise _NotPlain  # an empty value
                 stack[-1][1][pending] = node = [] if dash else {}
                 stack.append((column, node))
+                deepest = max(deepest, len(stack))
                 pending = None
             else:  # close what this line's column ends, a sequence at its key's column too
                 while stack and (stack[-1][0] > column or stack[-1][0] == column
@@ -519,6 +542,7 @@ class _Loader(_SAFE_LOADER):
                 node.append(item)
                 node = item
                 stack.append((column + len(dash), node))
+                deepest = max(deepest, len(stack))
             elif dash and value:
                 node.append(scalar(value))
                 continue
@@ -534,6 +558,13 @@ class _Loader(_SAFE_LOADER):
         if pending is not None or next(lists, None) is not None:
             raise _NotPlain
         self.number_lists.clear()
+        # upper bounds for the raw text: its number lists nest at most 3 levels
+        # below the deepest line; of its events, 4 are the stream's and the
+        # document's, and 2 each are a collection's, of which a line opens at
+        # most 2; every other "[", and every scalar (1 event), takes a character
+        depth = deepest + 3
+        if depth > MAX_NESTING or depth * (6 + 4 * len(lines) + 2 * len(text)) > MAX_NESTING_WORK:
+            self.check_nesting()
         return root
 
     def flatten_mapping(self, node):
@@ -622,21 +653,37 @@ def _check_nesting(text: str) -> None:
         raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
 
 
-def _load_numbers_apart(text: str):
-    """``text`` with each :data:`_NUMBER_LIST` read by ``json.loads`` and blanked
-    to ``[]`` and spaces, so that libyaml composes only the structure and every
-    later mark stays put; raises if a list is not read.
+def _starts_value(line: str) -> bool:
+    """Whether a flow list after ``line``, the text before it on its line,
+    starts a value or an item: ``line`` is blank, or ends in a flow "[", "{"
+    or ",", or in a "- ", "? " or ": " indicator and blanks.  A list after
+    an anchor or a tag is left to libyaml."""
+    before = line.rstrip(" \t")
+    last = before[-1:]
+    if last in ("", "[", "{", ","):
+        return True
+    if before == line or last not in ("-", "?", ":"):
+        return False
+    return last == ":" or before[-2:-1] in ("", " ", "\t")
+
+
+def _load_numbers_apart(text: str, loader):
+    """``text`` with each :data:`_NUMBER_LIST` that starts a value or an item
+    read by ``json.loads`` into ``loader.number_lists`` and blanked to ``[]``
+    and spaces, so that libyaml composes only the structure and every later
+    mark stays put; raises if a list is not read.
 
     A leading byte order mark is dropped first: libyaml leaves it out of its
     node indexes, so the lists after it would not be found.
     """
     text = text.removeprefix("\ufeff")
-    lists = {}
+    lists = loader.number_lists
 
     def blank(match) -> str:
         span = match.group()
         line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        if re.search(r"(?:^|[ \t])#", line):  # a list in a comment is never read
+        # a list in a comment is never read, and one inside a scalar is its own
+        if "#" in line and re.search(r"(?:^|[ \t])#", line) or not _starts_value(line):
             return span
         # YAML 1.1 reads "1e5" and "1.0e5" as strings
         exponents = span.count("e") + span.count("E")
@@ -648,7 +695,6 @@ def _load_numbers_apart(text: str):
             return span
         return "[]".ljust(len(span))
 
-    loader = type("_Loader", (_Loader,), {"number_lists": lists})  # this text's lists
     data = yaml.load(_NUMBER_LIST.sub(blank, text), Loader=loader)
     if lists:
         raise ValueError("a number list was not read")
@@ -656,12 +702,14 @@ def _load_numbers_apart(text: str):
 
 
 def _load_yaml(text: str):
+    # this text's number lists, and the text until its nesting is walked
+    loader = type("_Loader", (_Loader,), {"number_lists": {}, "nesting": {"text": text}})
     try:
-        _check_nesting(text)
         try:
-            return _load_numbers_apart(text)
+            return _load_numbers_apart(text, loader)
         except Exception:  # the text as it stands gives the data or the error
-            return yaml.load(text, Loader=_Loader)
+            loader.number_lists.clear()
+            return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "malformed document"
@@ -948,7 +996,10 @@ def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
                 # for the validation checks to reject by name
                 with np.errstate(over="ignore", invalid="ignore"):
                     tables[key] = _bind_measure(space, kind, payload, f"{where}.measure")
-            spec = specs[name, key] = replace(tables[key], name=name)
+            spec = tables[key]
+            if spec.name != name:
+                spec = replace(spec, name=name)
+            specs[name, key] = spec
         outcome = payload["outcome"]
         if outcome != UNOBSERVED and outcome not in spec.outcomes:
             raise ScenarioValidationError(
@@ -1070,7 +1121,7 @@ def _serialize_state(space, element: Element) -> dict:
     return {
         "kind": "classical",
         "n": int(space.dim),
-        "values": [float(v) for v in element.coords],
+        "values": element.coords.tolist(),
     }
 
 
@@ -1167,6 +1218,11 @@ def _render(value, indent: int, rows: dict) -> str:
         items = list(value)
         if not items:
             return "[]"
+        if type(items[0]) is float and {*map(type, items)} == {float}:  # one C-level format
+            text = "[" + ("%.17g, " * len(items))[:-2] % tuple(items) + "]"
+            # only "inf" and "nan" hold an "n", and "-0" stands alone only for -0.0
+            if not ("n" in text or "-0," in text or "-0]" in text):
+                return text
         if all(_is_scalar(v) for v in items):
             return "[" + ", ".join(_render_scalar(v) for v in items) + "]"
         if all(

@@ -89,10 +89,10 @@ class ModelSpace:
     dim : int
         Real dimension of the space.
     metric : array_like
-        The inner product in the storage basis: a vector of ``dim`` strictly
-        positive weights, or the ``dim x dim`` diagonal Gram matrix holding
-        them.  A symmetric metric with a nonzero off-diagonal entry is
-        rejected.
+        The inner product in the storage basis: a vector of ``dim`` finite,
+        strictly positive weights, or the ``dim x dim`` diagonal Gram matrix
+        holding them (its diagonal is not checked for an inf).  A symmetric
+        metric with a nonzero off-diagonal entry is rejected.
     cone_kind : str
         One of ``"componentwise"``, ``"psd"``, ``"product"``.
     unit : array_like
@@ -133,7 +133,8 @@ class ModelSpace:
             raise SpaceMismatchError(
                 f"unit length {unit.shape} does not fit dimension {dim}"
             )
-        if weights.ndim == 2:
+        square = weights.ndim == 2
+        if square:
             off_diagonal = weights.copy()
             np.fill_diagonal(off_diagonal, 0.0)
             # a NaN fails; the diagonal, where inf - inf is NaN, never counts
@@ -147,6 +148,8 @@ class ModelSpace:
             weights = np.diagonal(weights).copy()
         if not (weights > 0.0).all():  # also rejects a NaN weight
             raise ValueError("metric must be positive definite")
+        if not (square or np.isfinite(weights).all()):  # an inf, or a NaN
+            raise ValueError("metric entries must be finite")
         if cone_kind == "componentwise":
             if psd_dim is not None:
                 raise ValueError("psd_dim only applies to the psd cone kind")

@@ -1,0 +1,167 @@
+"""When ``scenario._check_nesting`` walks a text, and what it finds.
+
+The walk (``yaml.parse``, one Python step per event) runs before libyaml
+composes a text, and on a text the line reader has read only when the
+reader's own bound (its deepest stack plus 3 list levels, its line count and
+the text's length) could pass ``MAX_NESTING`` or ``MAX_NESTING_WORK``.  It
+always walks the raw text, never the one with its number lists blanked, and
+at most once per load.  A number list is blanked only where it starts a value
+or an item, so a list inside a scalar costs no second load.
+
+The tests on the 20,000-step document and on lists inside scalars fail at
+the parent, which walked every text past 5,000 line breaks before reading it
+and blanked a list wherever it stood.  The others pin what the parent already
+did: the same errors and marks, after one walk.
+"""
+
+import pathlib
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convexop import scenario
+from convexop.scenario import MAX_NESTING, ScenarioSyntaxError, _load_yaml, parse_scenario_text
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "bench"))
+import docs  # noqa: E402  (the bench's document generators)
+from worker import MIXES  # noqa: E402
+
+DEEP_EXTRA = ("model: {kind: quantum, d: 2}\ninitial: {pure: [1, 0]}\nsteps: []\nextra: "
+              + "[" * 5001 + "1" + "]" * 5001)
+
+
+def counted(text: str, load=_load_yaml):
+    """``(data or error text, yaml.parse calls, yaml.load calls)`` of one load."""
+    with mock.patch.object(scenario.yaml, "parse", wraps=yaml.parse) as parse, \
+            mock.patch.object(scenario.yaml, "load", wraps=yaml.load) as loads:
+        try:
+            data = load(text)
+        except ScenarioSyntaxError as exc:
+            data = str(exc)
+    return data, parse.call_count, loads.call_count
+
+
+def parent_verdict(text: str):
+    """The error text of the parent's pre-pass, the walk, on ``text``, or None."""
+    try:
+        scenario._check_nesting(text)
+    except ScenarioSyntaxError as exc:
+        return str(exc)
+    except yaml.YAMLError as exc:  # as _load_yaml words it
+        mark = exc.problem_mark
+        return str(ScenarioSyntaxError(exc.problem, mark.line + 1, mark.column + 1))
+    return None
+
+
+def test_a_deep_value_beside_a_number_list_keeps_the_parent_error_and_mark():
+    # the walk of the blanked text would miss 3 levels and pass
+    error, walks, _ = counted(DEEP_EXTRA, parse_scenario_text)
+    assert error == "collections nested deeper than 5000 levels (line 4, column 5007)"
+    assert walks == 1
+
+
+@pytest.mark.parametrize("workload", ["evolve_chain", "classical_cells"])
+def test_pool_documents_are_not_walked(workload):
+    for doc in docs.make_pool(workload, 0, MIXES[workload]):
+        data, walks, loads = counted(doc.text)
+        assert (walks, loads) == (0, 1)
+        assert data == yaml.load(doc.text, Loader=yaml.SafeLoader)
+
+
+def test_the_20000_step_document_is_not_walked():
+    doc = docs.evolve_chain_doc(np.random.default_rng(0), 16, steps=20000, every=20001)
+    assert doc.text.count("\n") > MAX_NESTING  # the parent's count could not rule it out
+    data, walks, loads = counted(doc.text)
+    assert (walks, loads) == (0, 1)
+    assert len(data["steps"]) == 20000
+
+
+DEEP_TEXTS = [
+    DEEP_EXTRA,
+    "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1),
+    "a: " + "{b: " * MAX_NESTING + "1" + "}" * MAX_NESTING + "\n",
+    "- " * (MAX_NESTING + 10) + "x\n",
+    "".join(" " * i + f"k{i}:\r" for i in range(MAX_NESTING + 10)),
+    "v: [" + ", ".join(["[" * 3000 + "0" + "]" * 3000] * 10) + "]\n",  # nesting work
+    "a: [1, 2]\n" + "# c\n" * MAX_NESTING + "b: [3, 4\n",  # a syntax error after a long text
+    "a: [1, 2]\n" + "# c\n" * MAX_NESTING + "b: *nowhere\nc: [\n",
+]
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS, ids=range(len(DEEP_TEXTS)))
+def test_a_text_the_parent_refused_is_refused_alike_after_one_walk(text):
+    error, walks, _ = counted(text)
+    assert error == parent_verdict(text) is not None
+    assert walks == 1
+
+
+def test_a_block_document_past_the_bound_is_walked_after_it_is_read():
+    # one mapping per line, each a column deeper: the line reader reads it
+    text = "".join(" " * i + "a:\n" for i in range(MAX_NESTING + 1)) + " " * (MAX_NESTING + 1) + "a: 1\n"
+    with mock.patch.object(scenario, "_check_nesting", wraps=scenario._check_nesting) as check, \
+            mock.patch.object(scenario._Loader, "get_single_node") as compose:
+        error, walks, _ = counted(text)
+    assert error == parent_verdict(text) == (
+        f"collections nested deeper than {MAX_NESTING} levels "
+        f"(line {MAX_NESTING + 1}, column {MAX_NESTING + 1})")
+    assert (walks, check.call_count, compose.call_count) == (1, 1, 0)
+
+
+def test_a_text_loaded_twice_is_walked_once():
+    # the list on a continuation line is blanked, the scalar holds "[]", so the
+    # text is loaded again as it stands; its count cannot rule it out
+    text = "a: x\n  [1]\n" + "# c\n" * MAX_NESTING
+    data, walks, loads = counted(text)
+    assert data == yaml.load(text, Loader=yaml.SafeLoader) == {"a": "x [1]"}
+    assert (walks, loads) == (1, 2)
+
+
+@pytest.mark.parametrize("text", ["a: x#[1]\n", 'a: "[1]"\n', "a: '[1, 2]'\n",
+                                  "a: [1]\nb: '[2, 3]'\nc: x [4]\n", "a: &x [1, 2]\nb: *x\n"])
+def test_a_number_list_inside_a_scalar_costs_one_load(text):
+    data, walks, loads = counted(text)
+    assert data == yaml.load(text, Loader=yaml.SafeLoader)
+    assert (walks, loads) == (0, 1)
+
+
+# The bound, at small limits: a line-read text is walked when its bound could
+# pass a limit, and then refused exactly where the parent's walk refused it.
+
+@st.composite
+def block_documents(draw):
+    lines, column = [], 0
+    for _ in range(draw(st.integers(1, 30))):
+        form = draw(st.sampled_from(["key", "item", "value", "values"]))
+        if form == "key":
+            lines.append(" " * column + "a:")
+            column += draw(st.integers(1, 2))
+        elif form == "item":
+            lines.append(" " * column + "- b:")
+            column += 2 + draw(st.integers(1, 2))
+        else:
+            key = draw(st.sampled_from(["c", "d"]))
+            value = "[[1, 2], [3]]" if form == "values" else "1"
+            lines.append(" " * column + f"{key}: {value}")
+            break
+    else:
+        lines.append(" " * column + "z: 0")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_documents(), st.integers(2, 20), st.integers(20, 400))
+def test_a_line_read_text_is_refused_as_the_parent_refused_it(text, levels, work):
+    with mock.patch.object(scenario, "MAX_NESTING", levels), \
+            mock.patch.object(scenario, "MAX_NESTING_WORK", work):
+        expected = parent_verdict(text)
+        error, walks, _ = counted(text)
+    if expected is None:
+        assert error == yaml.load(text, Loader=yaml.SafeLoader)
+        assert walks <= 1
+    else:
+        assert (error, walks) == (expected, 1)

@@ -50,6 +50,8 @@ def test_unitary_operation_refuses_non_finite_entries_without_a_warning(bad):
 # fails (``not drift <= bound``).  An infinite entry of ``weights * unit``
 # leaves no finite scale: the bound was inf, so a swap of an infinite point
 # with a finite one passed, and a fixed infinite point made the drift NaN.
+# ``PhaseSpace`` now refuses an infinite measure entry, so the inf comes from
+# the order unit, with finite weights.
 
 
 @pytest.mark.parametrize("mu, image", [
@@ -58,8 +60,11 @@ def test_unitary_operation_refuses_non_finite_entries_without_a_warning(bad):
     ([INF, 1.0, 1.0], [0, 1, 2]),
 ])
 def test_a_permutation_of_an_infinite_measure_is_refused(mu, image):
+    weights = [1.0 if m == INF else m for m in mu]
+    unit = [INF if m == INF else 1.0 for m in mu]
+    space = ModelSpace("c", 3, weights, "componentwise", unit)  # weights * unit is mu
     with pytest.raises(InvalidEvolutionError, match="the measure times the order unit is not finite"):
-        permutation_evolution(make_classical_space(PhaseSpace(3, mu)), image)
+        permutation_evolution(space, image)
 
 
 def test_a_finite_measure_still_judges_its_drift():
@@ -73,3 +78,33 @@ def test_a_finite_measure_still_judges_its_drift():
 def test_a_nan_off_the_diagonal_makes_a_metric_asymmetric(metric):
     with pytest.raises(ValueError, match="metric must be symmetric"):
         ModelSpace("c", 2, metric, "componentwise", [1.0, 1.0])
+
+
+# ``PhaseSpace`` and a 1-D ``ModelSpace`` metric refuse an infinite entry, by a
+# check that a NaN fails too; a NaN keeps the positivity message, checked first.
+# The first two tests fail at the parent, which built both spaces; the last two
+# pin its verdicts.
+
+
+@pytest.mark.parametrize("mu", [[INF, 1.0, 1.0], [1.0, INF, INF]])
+def test_phase_space_refuses_an_infinite_measure(mu):
+    with pytest.raises(ValueError, match="measure entries must be finite"):
+        PhaseSpace(3, mu)
+
+
+@pytest.mark.parametrize("metric", [[INF, 1.0, 1.0], [1.0, 1.0, INF], [INF, INF, INF]])
+def test_a_vector_metric_refuses_an_infinite_weight(metric):
+    with pytest.raises(ValueError, match="metric entries must be finite"):
+        ModelSpace("c", 3, metric, "componentwise", np.ones(3))
+
+
+def test_a_nan_measure_or_weight_keeps_its_positivity_message():
+    with pytest.raises(ValueError, match="measure entries must be strictly positive"):
+        PhaseSpace(2, [INF, NAN])
+    with pytest.raises(ValueError, match="metric must be positive definite"):
+        ModelSpace("c", 2, [INF, NAN], "componentwise", np.ones(2))
+
+
+def test_the_largest_finite_measure_is_still_accepted():
+    space = make_classical_space(PhaseSpace(2, [np.finfo(float).max, 1.0]))
+    assert space.weights.tolist() == [np.finfo(float).max, 1.0]
