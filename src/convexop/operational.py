@@ -381,7 +381,8 @@ class EvolutionGroup:
             perm = perm.astype(int)
             # the pairing with the order unit must survive the shift, which
             # for g = weights * unit means g is constant on every orbit
-            g = self.space.weights * self.space.unit
+            with np.errstate(over="ignore"):  # an inf is refused below
+                g = self.space.weights * self.space.unit
             if not np.isfinite(g).all():  # no finite scale to judge a drift by
                 raise InvalidEvolutionError("the measure times the order unit is not finite")
             drift = float(np.abs(g[perm] - g).max())

@@ -415,24 +415,34 @@ _PLAIN = {(kind, "tag:yaml.org,2002:" + tag): build for kind, tag, build in [
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-#: A one-line flow sequence of number characters nested at most 3 deep, as a
-#: complex matrix is; a run of them holds no bracket, so a failed match gives
-#: up in linear time.  If ``json.loads`` reads it and each exponent follows a
-#: fraction and a sign, every number in it is one YAML 1.1 and JSON read alike,
-#: ``-?(0|[1-9][0-9]*)(\.[0-9]+([eE][-+][0-9]+)?)?``.
-_NUMBER_LIST = re.compile(r"\[N(?:\[N(?:\[N\]N)*\]N)*\]".replace("N", "[-+.0-9eE, ]*"))
+#: A one-line flow sequence of number characters nested at most 4 deep, as a
+#: Kraus list is; a run of them holds no bracket, so a failed match gives up
+#: in linear time.  :func:`_numbers` reads it.
+_NUMBER_LIST = re.compile(r"\[N(?:\[N(?:\[N(?:\[N\]N)*\]N)*\]N)*\]".replace("N", "[-+.0-9eE, ]*"))
 
 #: One line of a plain block document: indent, then a full-line comment, or
 #: an optional "- ", an optional key and its colon and an optional value.
 #: A scalar is a word or number of plain characters, or a double-quoted
-#: string without escapes; a value may also be "[]".  Printable ASCII only:
-#: a tab, "\r" or any other character lands in the last group.
+#: string without escapes; a value may also be a one-line list of number
+#: characters, read only if it is a :data:`_NUMBER_LIST`.  Printable ASCII
+#: only: a tab, "\r" or any other character lands in the last group.
 _LINE = re.compile(
-    r'^( *)(?:#[ -~]*|(- +)?(?:(T):(?: +|$))?(T|\[\])?) *(.*)$'.replace(
+    r'^( *)(?:#[ -~]*|(- +)?(?:(T):(?: +|$))?(T|\[[-+.0-9eE, \[\]]*\])?) *(.*)$'.replace(
         "T", r'[-+.]?[0-9A-Za-z_][-+.0-9A-Za-z_]*|"[ !#-[\]-~]*"'
     ),
     re.M,
 )
+
+
+def _numbers(span: str) -> list:
+    """A :data:`_NUMBER_LIST` read by ``json.loads``.  Raises ValueError
+    unless each exponent follows a fraction and a sign: then every number in
+    it is one that YAML 1.1 and JSON read alike,
+    ``-?(0|[1-9][0-9]*)(\\.[0-9]+([eE][-+][0-9]+)?)?``."""
+    exponents = span.count("e") + span.count("E")
+    if exponents and len(re.findall(r"\.[0-9]+[eE][-+]", span)) != exponents:
+        raise ValueError("YAML 1.1 reads 1e5 and 1.0e5 as strings")
+    return json.loads(span)  # or ValueError: not JSON, or an integer past int()'s digit limit
 
 
 class _NotPlain(Exception):
@@ -446,62 +456,55 @@ class _Loader(_SAFE_LOADER):
     A plain block document is read line by line (:data:`_LINE`), with no
     node composed: block mappings and sequences, plain or double-quoted keys,
     full-line comments, words that the resolver tags str, plain decimals
-    (:data:`_DECIMAL`) and ``[]`` values, which take the lists of
-    ``number_lists`` in order.  Any other text, or a repeated key, goes to
-    libyaml whole.  There PyYAML's resolver tags every node, and
-    :meth:`construct_object` builds the plain ones itself: str scalars, int
-    and float scalars whose text is a plain decimal literal, and untagged
-    sequences and mappings.  Every other node goes to PyYAML's constructors,
-    which call back here for their items.  An empty sequence starting at a
-    key of ``number_lists`` is constructed as the list it maps to, once.
+    (:data:`_DECIMAL`) and one-line number lists (:func:`_numbers`).  Any
+    other text goes to libyaml whole, after :func:`_check_nesting` has walked
+    it, with its number lists blanked where they start a value or an item
+    (:meth:`_load_numbers_apart`), or as it stands if that load fails.  There
+    PyYAML's resolver tags every node, and :meth:`construct_object` builds the
+    plain ones itself: str scalars, int and float scalars whose text is a
+    plain decimal literal, and untagged sequences and mappings.  Every other
+    node goes to PyYAML's constructors, which call back here for their items.
 
-    :func:`_check_nesting` walks the raw text before libyaml composes it, and
-    after the line reader has read it only where the reader's bound could
-    pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
+    A text the line reader has read is walked only where the reader's bound
+    could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
     """
-
-    number_lists: dict = {}
-    #: The raw text of a load under "text" until :meth:`check_nesting` walks it,
-    #: then the walk's error, if any, under "error": the loads of one text share
-    #: it, so the text is walked at most once.
-    nesting: dict = {}
 
     def __init__(self, stream):
         super().__init__(stream)
         self.text = stream
+        self.lists = {}  # the number lists blanked out of the text, by offset
         self.written = {}  # each mapping node's pairs before a merge flattened it
 
     def get_single_data(self):
-        if isinstance(self.text, str):
-            try:
-                return self._read_lines(self.text)
-            except _NotPlain:
-                pass
-        self.check_nesting()  # before libyaml composes the text
-        return super().get_single_data()
-
-    def check_nesting(self):
-        """:func:`_check_nesting` on the raw text the first time; a walk that
-        failed fails every later check alike."""
-        nesting = self.nesting
-        if "text" in nesting:
-            try:
-                _check_nesting(nesting.pop("text"))
-            except Exception as exc:
-                nesting["error"] = exc
-        if "error" in nesting:
-            raise nesting["error"]
+        # a leading byte order mark is dropped: libyaml leaves it out of its
+        # node indexes, so the blanked lists after it would not be found
+        text = self.text.removeprefix("\ufeff")
+        try:
+            return self._read_lines(text)
+        except _NotPlain:
+            pass
+        _check_nesting(self.text)  # the raw text, before libyaml composes it
+        try:
+            return self._load_numbers_apart(text)
+        except Exception:  # the text as it stands gives the data or the error
+            return super().get_single_data()
 
     def _read_lines(self, text):
         """The data of a plain block document, in one pass with an explicit
-        stack; raises :class:`_NotPlain` on anything else."""
-        lists, words = iter(self.number_lists.values()), {}  # words: each str read so far
+        stack; raises :class:`_NotPlain` on anything else, before it reads a
+        number list if a line has text off the grammar."""
+        words = {}  # each str read so far
 
         def scalar(token):
+            if token[0] == "[":
+                if _NUMBER_LIST.fullmatch(token):
+                    try:
+                        return _numbers(token)
+                    except ValueError:
+                        pass
+                raise _NotPlain
             if token in words:
                 return words[token]
-            if token == "[]":
-                return next(lists, None) or []
             if _DECIMAL.fullmatch(token):  # the int and float of construct_object
                 return float(token) if "." in token else int(token)
             if token[0] == '"':
@@ -512,10 +515,12 @@ class _Loader(_SAFE_LOADER):
                 raise _NotPlain
             return words[token]
 
-        root, stack, pending, deepest = None, [], None, 1  # stack: (column, collection)
         lines = _LINE.findall(text)
-        for indent, dash, key, value, rest in lines:
-            if rest or len(key) > 1024:  # libyaml's longest simple key
+        if any(line[4] for line in lines):
+            raise _NotPlain
+        root, stack, pending, deepest = None, [], None, 1  # stack: (column, collection)
+        for indent, dash, key, value, _ in lines:
+            if len(key) > 1024:  # libyaml's longest simple key
                 raise _NotPlain
             if not (dash or key or value):
                 continue  # a blank or comment line
@@ -555,17 +560,49 @@ class _Loader(_SAFE_LOADER):
                 node[key] = scalar(value)
             else:
                 pending = key
-        if pending is not None or next(lists, None) is not None:
+        if pending is not None:
             raise _NotPlain
-        self.number_lists.clear()
-        # upper bounds for the raw text: its number lists nest at most 3 levels
+        # upper bounds for the text: its number lists nest at most 4 levels
         # below the deepest line; of its events, 4 are the stream's and the
         # document's, and 2 each are a collection's, of which a line opens at
         # most 2; every other "[", and every scalar (1 event), takes a character
-        depth = deepest + 3
+        depth = deepest + 4
         if depth > MAX_NESTING or depth * (6 + 4 * len(lines) + 2 * len(text)) > MAX_NESTING_WORK:
-            self.check_nesting()
+            _check_nesting(self.text)
         return root
+
+    def _load_numbers_apart(self, text):
+        """The data of ``text`` with each :data:`_NUMBER_LIST` that starts a
+        value or an item read by :func:`_numbers` and blanked to ``[]`` and
+        spaces, so that libyaml composes only the structure and every later
+        mark stays put; raises if no list is blanked, or one is not read back.
+        """
+        lists = {}
+
+        def blank(match) -> str:
+            span = match.group()
+            line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
+            # a list in a comment is never read, and one inside a scalar is its own
+            if "#" in line and re.search(r"(?:^|[ \t])#", line) or not _starts_value(line):
+                return span
+            try:
+                lists[match.start()] = _numbers(span)
+            except ValueError:
+                return span
+            return "[]".ljust(len(span))
+
+        blanked = _NUMBER_LIST.sub(blank, text)
+        if not lists:
+            raise _NotPlain
+        loader = type(self)(blanked)
+        loader.lists = lists
+        try:
+            data = loader.construct_document(loader.get_single_node())
+        finally:
+            loader.dispose()
+        if lists:
+            raise ValueError("a number list was not read")
+        return data
 
     def flatten_mapping(self, node):
         # PyYAML flattens in place, and a node may be flattened again: keep the first pairs
@@ -583,7 +620,7 @@ class _Loader(_SAFE_LOADER):
         elif kind is not None and not (deep or self.deep_construct):  # deep: PyYAML's
             if node not in self.constructed_objects:  # else an alias of it
                 if kind is list and not node.value:  # maybe a blanked number list
-                    data = self.number_lists.pop(node.start_mark.index, [])
+                    data = self.lists.pop(node.start_mark.index, [])
                 else:  # filled from PyYAML's queue, so nesting costs no recursion
                     data = kind()
                     self.state_generators.append(self._fill(data, node))
@@ -667,49 +704,9 @@ def _starts_value(line: str) -> bool:
     return last == ":" or before[-2:-1] in ("", " ", "\t")
 
 
-def _load_numbers_apart(text: str, loader):
-    """``text`` with each :data:`_NUMBER_LIST` that starts a value or an item
-    read by ``json.loads`` into ``loader.number_lists`` and blanked to ``[]``
-    and spaces, so that libyaml composes only the structure and every later
-    mark stays put; raises if a list is not read.
-
-    A leading byte order mark is dropped first: libyaml leaves it out of its
-    node indexes, so the lists after it would not be found.
-    """
-    text = text.removeprefix("\ufeff")
-    lists = loader.number_lists
-
-    def blank(match) -> str:
-        span = match.group()
-        line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        # a list in a comment is never read, and one inside a scalar is its own
-        if "#" in line and re.search(r"(?:^|[ \t])#", line) or not _starts_value(line):
-            return span
-        # YAML 1.1 reads "1e5" and "1.0e5" as strings
-        exponents = span.count("e") + span.count("E")
-        if exponents and len(re.findall(r"\.[0-9]+[eE][-+]", span)) != exponents:
-            return span
-        try:
-            lists[match.start()] = json.loads(span)
-        except ValueError:  # not JSON, or an integer past int()'s digit limit
-            return span
-        return "[]".ljust(len(span))
-
-    data = yaml.load(_NUMBER_LIST.sub(blank, text), Loader=loader)
-    if lists:
-        raise ValueError("a number list was not read")
-    return data
-
-
 def _load_yaml(text: str):
-    # this text's number lists, and the text until its nesting is walked
-    loader = type("_Loader", (_Loader,), {"number_lists": {}, "nesting": {"text": text}})
     try:
-        try:
-            return _load_numbers_apart(text, loader)
-        except Exception:  # the text as it stands gives the data or the error
-            loader.number_lists.clear()
-            return yaml.load(text, Loader=loader)
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "malformed document"

@@ -155,6 +155,8 @@ class ModelSpace:
                 raise ValueError("psd_dim only applies to the psd cone kind")
             if not unit.min() > 0.0:  # also rejects a NaN entry
                 raise ValueError("componentwise order unit must be strictly positive")
+            if not np.isfinite(unit).all():
+                raise ValueError("order unit entries must be finite")
         elif cone_kind == "psd":
             if psd_dim is None or psd_dim ** 2 != dim:
                 raise ValueError("psd cone requires dim equal to psd_dim squared")

@@ -1,19 +1,20 @@
 """``scenario._Loader`` reads plain block documents line by line.
 
 A block document of mappings, sequences, comments, plain or double-quoted
-keys, words the resolver tags str, plain decimals and blanked number lists
-is read without libyaml composing a node; any other text goes to libyaml
-whole.  Hypothesis writes block documents with the turns the reader must
-notice (nesting, compact items, sequences at their key's column, comments,
-blank lines, trailing spaces, quoted keys, YAML 1.1 words and numbers,
-repeated keys, bad indentation, tags and aliases), and each must load as
+keys, words the resolver tags str, plain decimals and one-line number lists
+up to 4 deep is read without libyaml composing a node; any other text goes
+to libyaml whole, with its number lists blanked where they start a value.
+Hypothesis writes block documents with the turns the reader must notice
+(nesting, compact items, sequences at their key's column, comments, blank
+lines, trailing spaces, quoted keys, YAML 1.1 words and numbers, repeated
+keys, bad indentation, tags and aliases), and each must load as
 ``yaml.SafeLoader`` loads it, or fail with the error the loader raises when
 libyaml reads the text.  Two mutant readers must be caught.
 
-Every test but four fails at the parent, which composed every document
-and read a nested merge key and an "=" key otherwise than SafeLoader.  The
-Kraus fallback, the single load, the repeated key beside a nested merge
-and the complex-row property pin what the parent already did.
+The Kraus step and the qudit documents are read by lines since the reader
+reads its own number lists; a 4-deep list went to libyaml before.  The
+single load, the repeated key beside a nested merge and the complex-row
+property pin what the line reader did from the start.
 """
 
 import pathlib
@@ -25,7 +26,7 @@ import pytest
 import yaml
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from test_loader_differential import _alike, outcome, same
+from test_loader_differential import _alike, composed_nodes, outcome, same
 
 from convexop import scenario
 from convexop.scenario import _load_yaml
@@ -153,21 +154,7 @@ def test_listed_texts_read_like_safe_loader(text):
     assert reads_like_safe_loader(text), text
 
 
-def composed_nodes(text: str):
-    """The data of ``_load_yaml`` and how many documents libyaml composed."""
-    calls = []
-    compose = scenario._Loader.get_single_node
-
-    def counted(self):
-        calls.append(1)
-        return compose(self)
-
-    with mock.patch.object(scenario._Loader, "get_single_node", counted):
-        data = _load_yaml(text)
-    return data, len(calls)
-
-
-@pytest.mark.parametrize("workload", ["evolve_chain", "classical_cells"])
+@pytest.mark.parametrize("workload", ["qudit_measure", "evolve_chain", "classical_cells"])
 def test_bench_documents_are_read_without_a_node(workload):
     for doc in docs.make_pool(workload, 0, MIXES[workload]):
         data, composed = composed_nodes(doc.text)
@@ -183,11 +170,11 @@ def test_scenario_files_are_read_without_a_node(path):
     assert same(data, yaml.load(text, Loader=yaml.SafeLoader))
 
 
-def test_a_kraus_step_goes_to_libyaml_with_the_same_data():
+def test_a_kraus_step_is_read_by_lines_with_the_same_data():
     doc = docs.make_pool("qudit_measure", 0, {4: 1})[0]
-    assert re.search(r"kraus:\n.*\[\[\[\[", doc.text)  # a 4-deep list is not blanked
+    assert re.search(r"kraus:\n.*\[\[\[\[", doc.text)  # a 4-deep list
     data, composed = composed_nodes(doc.text)
-    assert composed == 1
+    assert composed == 0
     assert same(data, yaml.load(doc.text, Loader=yaml.SafeLoader))
 
 

@@ -89,6 +89,20 @@ def same(a, b) -> bool:
     return a == b
 
 
+def composed_nodes(text: str, load=scenario._load_yaml):
+    """``load(text)`` and how many documents libyaml composed for it."""
+    calls = []
+    compose = scenario._Loader.get_single_node
+
+    def counted(self):
+        calls.append(1)
+        return compose(self)
+
+    with mock.patch.object(scenario._Loader, "get_single_node", counted):
+        data = load(text)
+    return data, len(calls)
+
+
 def outcome(text: str, loader):
     """``("data", value)`` from ``_load_yaml`` with ``loader``, or
     ``("error", text)`` of the exception it raised."""
@@ -133,12 +147,13 @@ def test_property_catches_a_fast_path_that_allows_leading_zeros():
 # ---------------------------------------------------------------------------
 #
 # ``_load_yaml`` reads a one-line flow sequence of plain decimal numbers with
-# ``json.loads`` and hands libyaml the text with that sequence blanked.  The
-# lists below are put where a blanked sequence would change what the text
-# means.  The data must be what ``yaml.SafeLoader`` reads from the text as it
-# stands.  An error must be the one, text and mark, that ``_Loader`` raises
-# on the text as it stands: libyaml words its parser errors otherwise than
-# pure PyYAML ("did not find expected key" for "expected <block end>").
+# ``json.loads``: in the line reader, or ahead of libyaml, which then gets
+# the text with that sequence blanked.  The lists below are put where a
+# blanked sequence would change what the text means.  The data must be what
+# ``yaml.SafeLoader`` reads from the text as it stands.  An error must be the
+# one, text and mark, that ``_Loader`` raises on the text as it stands:
+# libyaml words its parser errors otherwise than pure PyYAML ("did not find
+# expected key" for "expected <block end>").
 
 #: Tokens just outside the numbers YAML 1.1 and JSON read alike.
 OFF_GRAMMAR = ["1.", "+1", "1.0e5", "-0", "1.0e+999", "1" * 5000, "1e5", "1.5E5", "1e+5",
@@ -224,6 +239,14 @@ def test_number_lists_read_like_safe_loader(text):
     assert reads_lists_like_safe_loader(text), text
 
 
+def test_a_number_list_pattern_that_never_matches_leaves_the_text_to_libyaml():
+    # the reference of reads_lists_like_safe_loader: no list read apart, the
+    # line reader's included
+    with mock.patch.object(scenario, "_NUMBER_LIST", re.compile("(?!)")):
+        data, composed = composed_nodes("k: [1, 2]\n")
+    assert (data, composed) == ({"k": [1, 2]}, 1)
+
+
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("span", ["[1, -2.5, 0]", "[[0.5, -0.5], 1.0e-05]",
                                   "[[[1.5, 2], [3, 4]]]", "[1, 2,]"])
@@ -261,7 +284,7 @@ def test_errors_after_a_byte_order_mark_keep_their_text_and_marks():
 @pytest.mark.parametrize("text", ["a: [1, 2]\n", "\ufeffa: [1, 2]\n",
                                   QUANTUM_ZX, "\ufeff" + QUANTUM_ZX])
 def test_a_text_with_number_lists_is_loaded_once(text):
-    with mock.patch.object(scenario.yaml, "load", wraps=yaml.load) as load:
-        data = scenario._load_yaml(text)
-    assert load.call_count == 1
+    # read by lines (none composed), or with its lists blanked (one)
+    data, composed = composed_nodes(text)
+    assert composed <= 1
     assert same(data, yaml.load(text, Loader=yaml.SafeLoader))

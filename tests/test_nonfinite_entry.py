@@ -33,6 +33,16 @@ def test_componentwise_space_refuses_a_nan_unit(unit):
         ModelSpace("c", 3, np.ones(3), "componentwise", unit)
 
 
+@pytest.mark.parametrize("unit, message", [
+    ([INF, 1, 1], "order unit entries must be finite"),
+    ([1, 1, INF], "order unit entries must be finite"),
+    ([1, -INF, 1], "componentwise order unit must be strictly positive"),  # checked first
+])
+def test_componentwise_space_refuses_an_infinite_unit(unit, message):
+    with pytest.raises(ValueError, match=message):
+        ModelSpace("c", 3, np.ones(3), "componentwise", unit)
+
+
 def test_finite_measures_and_units_still_pass():
     space = make_classical_space(PhaseSpace(3, [0.5, 1.0, 2.0]))
     assert space.unit.tolist() == [1.0, 1.0, 1.0]
@@ -50,8 +60,9 @@ def test_unitary_operation_refuses_non_finite_entries_without_a_warning(bad):
 # fails (``not drift <= bound``).  An infinite entry of ``weights * unit``
 # leaves no finite scale: the bound was inf, so a swap of an infinite point
 # with a finite one passed, and a fixed infinite point made the drift NaN.
-# ``PhaseSpace`` now refuses an infinite measure entry, so the inf comes from
-# the order unit, with finite weights.
+# ``PhaseSpace`` refuses an infinite measure entry and ``ModelSpace`` an
+# infinite unit entry, so the inf comes from a product that overflows, which
+# raises no ``RuntimeWarning`` before the documented error.
 
 
 @pytest.mark.parametrize("mu, image", [
@@ -60,8 +71,8 @@ def test_unitary_operation_refuses_non_finite_entries_without_a_warning(bad):
     ([INF, 1.0, 1.0], [0, 1, 2]),
 ])
 def test_a_permutation_of_an_infinite_measure_is_refused(mu, image):
-    weights = [1.0 if m == INF else m for m in mu]
-    unit = [INF if m == INF else 1.0 for m in mu]
+    weights = [1e200 if m == INF else m for m in mu]
+    unit = [1e200 if m == INF else 1.0 for m in mu]
     space = ModelSpace("c", 3, weights, "componentwise", unit)  # weights * unit is mu
     with pytest.raises(InvalidEvolutionError, match="the measure times the order unit is not finite"):
         permutation_evolution(space, image)
