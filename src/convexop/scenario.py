@@ -407,11 +407,6 @@ class ScenarioDoc:
 #: to PyYAML.
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+][0-9]+)?)?")
 
-#: What ``_Loader`` builds itself, by node kind and the tag PyYAML resolved.
-_PLAIN = {(kind, "tag:yaml.org,2002:" + tag): build for kind, tag, build in [
-    ("scalar", "str", str), ("scalar", "int", int), ("scalar", "float", float),
-    ("sequence", "seq", list), ("mapping", "map", dict),
-]}
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -460,10 +455,9 @@ class _Loader(_SAFE_LOADER):
     other text goes to libyaml whole, after :func:`_check_nesting` has walked
     it, with its number lists blanked where they start a value or an item
     (:meth:`_load_numbers_apart`), or as it stands if that load fails.  There
-    PyYAML's resolver tags every node, and :meth:`construct_object` builds the
-    plain ones itself: str scalars, int and float scalars whose text is a
-    plain decimal literal, and untagged sequences and mappings.  Every other
-    node goes to PyYAML's constructors, which call back here for their items.
+    SafeLoader's constructors build every node, filling collections from
+    PyYAML's queue, so nesting costs no recursion; :meth:`_construct_map`
+    rejects a repeated key, and :meth:`_construct_seq` takes back a blanked list.
 
     A text the line reader has read is walked only where the reader's bound
     could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
@@ -505,7 +499,7 @@ class _Loader(_SAFE_LOADER):
                 raise _NotPlain
             if token in words:
                 return words[token]
-            if _DECIMAL.fullmatch(token):  # the int and float of construct_object
+            if _DECIMAL.fullmatch(token):  # the int and float SafeLoader builds
                 return float(token) if "." in token else int(token)
             if token[0] == '"':
                 words[token] = token[1:-1]
@@ -609,59 +603,39 @@ class _Loader(_SAFE_LOADER):
         self.written.setdefault(node, node.value[:])
         super().flatten_mapping(node)
 
-    def construct_object(self, node, deep=False):
-        kind = _PLAIN.get((node.id, node.tag))
-        if kind is str:
-            return node.value
-        if kind is int or kind is float:
-            # an explicit "!!int 1.5" keeps PyYAML's error; "!!float 2" is 2.0
-            if _DECIMAL.fullmatch(node.value) and (kind is float or "." not in node.value):
-                return kind(node.value)
-        elif kind is not None and not (deep or self.deep_construct):  # deep: PyYAML's
-            if node not in self.constructed_objects:  # else an alias of it
-                if kind is list and not node.value:  # maybe a blanked number list
-                    data = self.lists.pop(node.start_mark.index, [])
-                else:  # filled from PyYAML's queue, so nesting costs no recursion
-                    data = kind()
-                    self.state_generators.append(self._fill(data, node))
-                self.constructed_objects[node] = data
-            return self.constructed_objects[node]
-        return super().construct_object(node, deep)
-
-    def _fill(self, data, node):
-        """Fill ``data``, the empty list or dict built for ``node``, once
-        PyYAML's queue reaches it.  A whole nesting level of these waits in
-        the queue at once, so the generator holds no more than its arguments."""
-        yield
-        if isinstance(data, list):
-            data.extend(map(self.construct_object, node.value))
-        else:
-            self._fill_mapping(data, node)
-
-    def _fill_mapping(self, data, node):
-        """Build a mapping in one pass over its own pairs, merge keys aside;
-        a key tagged ``value`` ("=") is a str, as ``flatten_mapping`` has it."""
-        merged = False
-        for key_node, value_node in self.written.get(node, node.value):
+    def _construct_map(self, node):
+        """A mapping built in one pass over its own pairs in order, merge keys
+        aside, raising its first problem, a repeated key too; SafeLoader's
+        ``construct_mapping`` rebuilds one with merge keys and rejects other kinds."""
+        data, rebuild = {}, node.id != "mapping"
+        yield data
+        for key_node, value_node in () if rebuild else self.written.get(node, node.value):
             if key_node.tag == "tag:yaml.org,2002:merge":
-                merged = True
+                rebuild = True
                 continue
-            if key_node.tag == "tag:yaml.org,2002:value":
+            if key_node.tag == "tag:yaml.org,2002:value":  # "=", a str as flatten_mapping has it
                 key_node.tag = "tag:yaml.org,2002:str"
             key = self.construct_object(key_node)
             try:
-                duplicate = key in data
+                if key in data:
+                    raise ConstructorError(problem=f"found duplicate key {key!r}",
+                                           problem_mark=key_node.start_mark)
             except TypeError:
                 raise ConstructorError("while constructing a mapping", node.start_mark,
                                        "found unhashable key", key_node.start_mark) from None
-            if duplicate:
-                raise ConstructorError(problem=f"found duplicate key {key!r}",
-                                       problem_mark=key_node.start_mark)
             data[key] = self.construct_object(value_node)
-        if merged:  # SafeLoader's order: merged pairs first, the mapping's own keys win
-            rebuilt = self.construct_mapping(node)
+        if rebuild:  # SafeLoader's order: merged pairs first, the mapping's own keys win
             data.clear()
-            data.update(rebuilt)
+            data.update(self.construct_mapping(node))
+
+    def _construct_seq(self, node):  # an empty one may be a blanked number list
+        if node.value or node.id != "sequence":
+            return self.construct_yaml_seq(node)
+        return self.lists.pop(node.start_mark.index, [])
+
+
+_Loader.add_constructor("tag:yaml.org,2002:map", _Loader._construct_map)
+_Loader.add_constructor("tag:yaml.org,2002:seq", _Loader._construct_seq)
 
 
 def _check_nesting(text: str) -> None:

@@ -154,9 +154,10 @@ def test_listed_texts_read_like_safe_loader(text):
     assert reads_like_safe_loader(text), text
 
 
+@pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("workload", ["qudit_measure", "evolve_chain", "classical_cells"])
-def test_bench_documents_are_read_without_a_node(workload):
-    for doc in docs.make_pool(workload, 0, MIXES[workload]):
+def test_bench_documents_are_read_without_a_node(workload, seed):
+    for doc in docs.make_pool(workload, seed, MIXES[workload]):
         data, composed = composed_nodes(doc.text)
         assert composed == 0
         assert same(data, yaml.load(doc.text, Loader=yaml.SafeLoader))

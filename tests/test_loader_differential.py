@@ -1,10 +1,11 @@
 """The scenario loader reads numbers exactly as ``yaml.SafeLoader`` does.
 
-``scenario._Loader`` resolves and constructs plain decimal literals itself.
-Hypothesis writes documents from a grammar of number-like scalars (signs,
-leading zeros, "_", hex, binary, sexagesimal, .inf and .nan, exponents with
-and without a dot or a sign, Unicode digits, 5,000-digit integers, explicit
-``!!int``, ``!!float`` and ``!!str`` tags) and places them in block and flow
+``scenario._Loader``'s line reader reads plain decimal literals itself, and
+on libyaml's path SafeLoader's constructors read them.  Hypothesis writes
+documents from a grammar of number-like scalars (signs, leading zeros, "_",
+hex, binary, sexagesimal, .inf and .nan, exponents with and without a dot or
+a sign, Unicode digits, 5,000-digit integers, explicit ``!!int``,
+``!!float`` and ``!!str`` tags) and places them in block and flow
 sequences, mapping values and keys, under anchors and aliases.  Each
 document must load to the same data through ``_load_yaml`` with either
 loader, or fail with the same exception and text.
@@ -16,7 +17,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import Phase, find, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexop import scenario
@@ -131,15 +132,6 @@ def test_loader_reads_numbers_like_safe_loader(text):
 ])
 def test_loader_reads_listed_texts_like_safe_loader(text):
     assert agrees(text)
-
-
-def test_property_catches_a_fast_path_that_allows_leading_zeros():
-    # "010" is octal 8 in YAML 1.1 and "09" a string, but int() reads 10 and 9
-    mutant = re.compile(r"[-+]?[0-9]+(?:\.[0-9]*(?:[eE][-+][0-9]+)?)?")
-    with mock.patch.object(scenario, "_DECIMAL", mutant):
-        text = find(documents(), lambda text: not agrees(text),
-                    settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
-    assert agrees(text), text
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,13 @@
-"""``scenario._Loader`` builds plain YAML nodes in its own ``construct_object``.
+"""``scenario._Loader`` builds YAML data as ``yaml.SafeLoader`` builds it.
 
-Plain nodes are str scalars, int and float scalars written as plain
-decimals, and untagged sequences and mappings: every node of the bench
-documents and of ``scenarios/``.  They must reach none of PyYAML's
-constructors, and a mapping is built in one pass over its own pairs.  Every
-other tag is still PyYAML's, and the data must stay what ``yaml.SafeLoader``
-builds, aliases, merge keys and deep nesting included.
-
-The spy test and the duplicate key under ``!!set`` fail at the parent, whose
-loader went through ``BaseConstructor.construct_object`` for every node and
-checked ``!!set`` keys for repeats; the other tests pin behaviour the parent
-already had.
+Plain block documents, every bench document and every file of
+``scenarios/`` among them, are read by the line reader and reach none of
+PyYAML's constructors; the two spy tests pin that.  Any other text is
+composed by libyaml, and SafeLoader's constructors build every node of it:
+the loader only rejects a key repeated in one mapping, in pair order beside
+the mapping's other problems, and takes blanked number lists back.  The
+data must stay what ``yaml.SafeLoader`` builds, aliases, merge keys, other
+tags and deep nesting included.
 """
 
 import datetime
@@ -87,6 +84,7 @@ def test_a_mapping_nested_to_the_limit_loads_as_libyaml_loads_it():
     ("base: &b {x: 0}\nm:\n  y: 1\n  <<: *b\n  y: 2\n", "y", 5),
     ("m: {x: 1, <<: {x: 0, y: 2}, x: 3}\n", "x", 1),
     ("m: {<<: [{a: 1}, {a: 2}], a: 3, a: 4}\n", "a", 1),
+    ("m: {a: 1, a: 2, [1]: 3}\n", "a", 1),
 ])
 def test_a_repeated_key_beside_merge_keys_is_rejected(text, key, line):
     with pytest.raises(ScenarioSyntaxError, match=f"found duplicate key '{key}' \\(line {line},"):
