@@ -82,16 +82,15 @@ def indicator_measurement(
         i = subset[bad]
         raise ValueError(f"subset {subset!r} lists a point twice" if 0 <= i < space.dim
                          else f"point index {i} is out of range for {space.dim} points")
-    points = np.sort(points.astype(np.intp))
     chi = np.zeros(space.dim)
-    chi[points] = 1.0
-    if name is None:
-        name = "chi[" + ",".join(map(str, points.tolist())) + "]"
+    chi[points.astype(np.intp, copy=False)] = 1.0
+    if name is None:  # the points in ascending order, read off the indicator
+        name = "chi[" + ",".join(map(str, np.flatnonzero(chi).tolist())) + "]"
     return MeasurementSpec(
         name=name,
         outcomes={
-            "in": OperationMap(space, chi, "selective"),
-            "out": OperationMap(space, 1.0 - chi, "selective"),
+            "in": OperationMap._taking(space, chi, "selective"),
+            "out": OperationMap._taking(space, 1.0 - chi, "selective"),
         },
     )
 

@@ -155,7 +155,7 @@ def identity_operation(space: ModelSpace) -> OperationMap:
 
 def apply_operation(op: OperationMap, b: Element) -> Element:
     require_same_space(op.space, b.space)
-    return Element(b.space, _act(op, b.coords))
+    return Element._taking(b.space, _act(op, b.coords))
 
 
 def order_unit_defect(op: OperationMap, tol: float = DEFAULT_TOL) -> tuple:
@@ -164,10 +164,13 @@ def order_unit_defect(op: OperationMap, tol: float = DEFAULT_TOL) -> tuple:
     Returns the largest entry of ``|M^T g - g|`` for ``g = weights * unit``
     (the metric applied to the unit), the matrix form of requiring the
     pairing with ``e`` to be preserved on every element, and the scaled
-    tolerance it is judged against.
+    tolerance it is judged against.  The space keeps ``g`` and its scale.
     """
-    g = op.space.weights * op.space.unit
-    return float(np.abs(_act(op, g, transpose=True) - g).max()), scaled_tol(tol, g)
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    space = op.space
+    g = space._unit_weights
+    return float(np.abs(_act(op, g, transpose=True) - g).max()), tol * space._unit_weights_scale
 
 
 def is_nonselective(op: OperationMap) -> bool:
@@ -232,7 +235,8 @@ class MeasurementSpec:
                     f"outcome {label!r} of {self.name!r} must be flagged selective"
                 )
         if self.parent is None:
-            parent = OperationMap(space, _outcome_sum(self.outcomes), "nonselective")
+            # a new sum, or the one outcome's read-only entries, which it may share
+            parent = OperationMap._taking(space, _outcome_sum(self.outcomes), "nonselective")
             object.__setattr__(self, "parent", parent)
         if self.parent.selectivity != "nonselective":
             raise ValueError(
@@ -326,12 +330,13 @@ def update_state(b: Element, m_a: OperationMap) -> Element:
 
 
 def _condition(
-    b: Element, image: Element, weight: float, tol: float, message: str
+    b: Element, image: Element, weight: float, tol: float, message: str, *args
 ) -> Element:
-    """``image`` divided by its order-unit pairing ``weight``, which must not vanish."""
+    """``image`` divided by its order-unit pairing ``weight``, which must not
+    vanish; ``message % args`` is formatted only to be raised."""
     if not pairing_passes(weight, b.coords, tol):
-        raise ZeroProbabilityError(message)
-    return Element(b.space, image.coords / weight)
+        raise ZeroProbabilityError(message % args)
+    return Element._taking(b.space, image.coords / weight)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +345,23 @@ def _condition(
 
 def _first_bad_point(indices, n: int) -> int | None:
     """Position of the first entry, in the order given, that is out of ``0..n-1`` or repeats
-    an earlier one, else None.  A nested row is no point; an int past int64 never wraps."""
+    an earlier one, else None.  A nested row is no point; an int past int64 never wraps.
+
+    An integer array passes on one sort; the entries are walked in order only
+    to name a violation, a float by its integer part, as an index reads it."""
     a = np.asarray(indices)
-    good = (a >= 0) & (a < n) & (a.ndim == 1)
-    points = a[good].astype(np.intp)
-    if np.bincount(points).max(initial=0) > 1:  # keep only each point's first entry
-        firsts = np.unique(points, return_index=True)[1]
-        good[good] = np.isin(np.arange(points.size), firsts)
-    return None if good.all() else int(good.argmin())
+    if a.ndim != 1:
+        return 0 if a.size else None
+    if a.dtype.kind in "iu":
+        ordered = np.sort(a)
+        if not a.size or 0 <= ordered[0] and ordered[-1] < n and (ordered[1:] != ordered[:-1]).all():
+            return None
+    seen = set()
+    for k, i in enumerate(a.tolist()):
+        if not 0 <= i < n or int(i) in seen:
+            return k
+        seen.add(int(i))
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,12 +395,11 @@ class EvolutionGroup:
             perm = perm.astype(int)
             # the pairing with the order unit must survive the shift, which
             # for g = weights * unit means g is constant on every orbit
-            with np.errstate(over="ignore"):  # an inf is refused below
-                g = self.space.weights * self.space.unit
+            g = self.space._unit_weights
             if not np.isfinite(g).all():  # no finite scale to judge a drift by
                 raise InvalidEvolutionError("the measure times the order unit is not finite")
             drift = float(np.abs(g[perm] - g).max())
-            if not drift <= scaled_tol(1e-12, g):
+            if not drift <= 1e-12 * self.space._unit_weights_scale:
                 raise InvalidEvolutionError("permutation does not preserve the measure")
             perm.setflags(write=False)
             object.__setattr__(self, "permutation", perm)
@@ -517,25 +530,25 @@ def _evolve_stretch(group: EvolutionGroup, deltas: list, branches) -> list:
     """Elements ``branches`` after the group's time-``delta`` members, one
     delta after another.
 
-    Between steps the branches are one stacked coordinate array, a column per
-    branch, so that each product is one matrix-vector product per branch in a
-    single call; each becomes an :class:`Element` once, at the end.
-    Permutation times, which :class:`EvolveStep` checked, add up to one shift.
+    Under a Hamiltonian group the branches are one stacked coordinate array
+    between steps, a column per branch, so that each product is one
+    matrix-vector product per branch in a single call; each becomes an
+    :class:`Element` once, at the end.  Permutation times, which
+    :class:`EvolveStep` checked, add up to one shift of each branch.
     """
     for b in branches:
         require_same_space(group.space, b.space)
-    x = np.array([b.coords for b in branches])
     if group.kind == "permutation":
         # the value at i moves to image[i], so the value at j comes from
         # where the reverse shift sends j
-        x = x[:, _permutation_power(group, -sum(int(round(delta)) for delta in deltas))]
-    else:
-        eig, back = group.eigen_frame
-        x = x[:, :, np.newaxis]
-        for m in _members(group, deltas):
-            x = (back @ (m[:, np.newaxis] * (eig @ x))).real
-        x = x[:, :, 0]
-    return [Element(b.space, row) for b, row in zip(branches, x)]
+        source = _permutation_power(group, -sum(int(round(delta)) for delta in deltas))
+        return [Element._taking(b.space, b.coords[source]) for b in branches]
+    eig, back = group.eigen_frame
+    x = np.array([b.coords for b in branches])[:, :, np.newaxis]
+    for m in _members(group, deltas):
+        x = (back @ (m[:, np.newaxis] * (eig @ x))).real
+    # the rows are views of a complex array's real parts: each element copies its own
+    return [Element(b.space, row) for b, row in zip(branches, x[:, :, 0])]
 
 
 def evolve(group: EvolutionGroup, delta: float, b: Element) -> Element:
@@ -679,8 +692,8 @@ def run_sequence(
             image, p = _branch(state, spec, outcome, tol)
             state = _condition(
                 state, image, p, tol,
-                f"outcome {outcome!r} of measurement {spec.name!r} has "
-                "probability zero; cannot condition on it",
+                "outcome %r of measurement %r has probability zero; cannot "
+                "condition on it", outcome, spec.name,
             )
             probability *= p
             record = StepRecord(spec.name, outcome, p)

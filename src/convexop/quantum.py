@@ -233,6 +233,16 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
     ``d**2 x d**2`` Hermitian block matrix, and the map is completely
     positive exactly when that matrix is positive semidefinite.
     """
+    choi, is_cp, min_eig = _choi_verdict(op, tol)
+    # copied once the eigensolver has freed its own copy, whose memory the
+    # report's matrix then takes over
+    return ChoiReport(choi.copy(), is_cp, min_eig)
+
+
+def _choi_verdict(op: OperationMap, tol: float) -> tuple:
+    """``(choi, is_cp, min_eigenvalue)`` of :func:`choi_cp_check`, with the
+    Choi matrix left in the thread's workspace, where the next kernel call
+    overwrites it."""
     _require_psd_space(op.space)
     choi = choi_scratch(op.matrix)
     try:
@@ -241,9 +251,7 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
         # the inf and NaN entries of a map that overflowed: not certified
         spectrum = np.array([np.nan])
     min_eig = float(spectrum.min())
-    # copied once the eigensolver has freed its own copy, whose memory the
-    # report's matrix then takes over
-    return ChoiReport(choi.copy(), margin_passes(min_eig, spectrum, tol), min_eig)
+    return choi, margin_passes(min_eig, spectrum, tol), min_eig
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ import math
 import re
 import reprlib
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, filterfalse
@@ -75,7 +76,7 @@ from .operational import (
 )
 from .quantum import (
     KrausSet,
-    choi_cp_check,
+    _choi_verdict,
     from_matrix,
     hamiltonian_evolution,
     kraus_operation,
@@ -440,6 +441,14 @@ def _numbers(span: str) -> list:
     return json.loads(span)  # or ValueError: not JSON, or an integer past int()'s digit limit
 
 
+def _numbers_or_none(span: str):
+    """:func:`_numbers`, or None where it raises ValueError."""
+    try:
+        return _numbers(span)
+    except ValueError:
+        return None
+
+
 class _NotPlain(Exception):
     """A text off the line reader's grammar, left to libyaml whole."""
 
@@ -460,7 +469,9 @@ class _Loader(_SAFE_LOADER):
     rejects a repeated key, and :meth:`_construct_seq` takes back a blanked list.
 
     A text the line reader has read is walked only where the reader's bound
-    could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
+    could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.  A number list
+    is read once per load: the lists the line reader read before a text left
+    it are taken back by the blanking.
     """
 
     def __init__(self, stream):
@@ -468,6 +479,9 @@ class _Loader(_SAFE_LOADER):
         self.text = stream
         self.lists = {}  # the number lists blanked out of the text, by offset
         self.written = {}  # each mapping node's pairs before a merge flattened it
+        # the text of each number list the line reader read, and its value, or
+        # None where _numbers raised; kept in a list, so no long text is hashed
+        self.read = []
 
     def get_single_data(self):
         # a leading byte order mark is dropped: libyaml leaves it out of its
@@ -491,12 +505,13 @@ class _Loader(_SAFE_LOADER):
 
         def scalar(token):
             if token[0] == "[":
-                if _NUMBER_LIST.fullmatch(token):
-                    try:
-                        return _numbers(token)
-                    except ValueError:
-                        pass
-                raise _NotPlain
+                if not _NUMBER_LIST.fullmatch(token):
+                    raise _NotPlain
+                value = _numbers_or_none(token)
+                self.read.append((token, value))
+                if value is None:
+                    raise _NotPlain
+                return value
             if token in words:
                 return words[token]
             if _DECIMAL.fullmatch(token):  # the int and float SafeLoader builds
@@ -571,7 +586,9 @@ class _Loader(_SAFE_LOADER):
         spaces, so that libyaml composes only the structure and every later
         mark stays put; raises if no list is blanked, or one is not read back.
         """
-        lists = {}
+        lists, spare = {}, defaultdict(list)
+        for span, value in self.read:
+            spare[span].append(value)
 
         def blank(match) -> str:
             span = match.group()
@@ -579,10 +596,11 @@ class _Loader(_SAFE_LOADER):
             # a list in a comment is never read, and one inside a scalar is its own
             if "#" in line and re.search(r"(?:^|[ \t])#", line) or not _starts_value(line):
                 return span
-            try:
-                lists[match.start()] = _numbers(span)
-            except ValueError:
+            taken = spare.get(span)
+            value = taken.pop() if taken else _numbers_or_none(span)
+            if value is None:
                 return span
+            lists[match.start()] = value
             return "[]".ljust(len(span))
 
         blanked = _NUMBER_LIST.sub(blank, text)
@@ -815,7 +833,7 @@ def _bind_state(space, kind: str, payload: dict, where: str) -> Element:
             raise ScenarioValidationError(
                 f"{where}.values: expected {space.dim} entries, got {values.size}"
             )
-        return Element(space, values)
+        return Element._taking(space, values)
     d = space.psd_dim
     if form == "pure":
         amps = np.array([_to_complex(e) for e in payload["pure"]])
@@ -944,40 +962,40 @@ def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
     # top: aliases and merge-key copies of a measure node hold the same
     # payload objects, so their maps are built once however they are named
     tables, specs = {}, {}
-    for k, raw in enumerate(doc.steps):
-        where = f"steps[{k}]"
-        if "evolve" in raw:
-            if group is None:
-                raise ScenarioValidationError(
-                    f"{where}.evolve: the document declares no evolution"
-                )
-            try:
-                steps.append(EvolveStep(group, float(raw["evolve"]["delta"])))
-            except InvalidEvolutionError as exc:
-                raise ScenarioValidationError(f"{where}.evolve.delta: {exc}") from exc
-            continue
-        payload = raw["measure"]
-        form = next(key for key in MEASURE_FORMS if key in payload)
-        key = (form, id(payload[form]), id(payload.get("parent")))
-        name = payload["name"]
-        spec = specs.get((name, key))
-        if spec is None:
-            if key not in tables:
-                # maps whose entries overflow keep their inf and NaN entries,
-                # for the validation checks to reject by name
-                with np.errstate(over="ignore", invalid="ignore"):
+    # maps whose entries overflow keep their inf and NaN entries, for the
+    # validation checks to reject by name; the numpy arithmetic here is theirs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, raw in enumerate(doc.steps):
+            where = f"steps[{k}]"
+            if "evolve" in raw:
+                if group is None:
+                    raise ScenarioValidationError(
+                        f"{where}.evolve: the document declares no evolution"
+                    )
+                try:
+                    steps.append(EvolveStep(group, float(raw["evolve"]["delta"])))
+                except InvalidEvolutionError as exc:
+                    raise ScenarioValidationError(f"{where}.evolve.delta: {exc}") from exc
+                continue
+            payload = raw["measure"]
+            form = next(key for key in MEASURE_FORMS if key in payload)
+            key = (form, id(payload[form]), id(payload.get("parent")))
+            name = payload["name"]
+            spec = specs.get((name, key))
+            if spec is None:
+                if key not in tables:
                     tables[key] = _bind_measure(space, kind, payload, f"{where}.measure")
-            spec = tables[key]
-            if spec.name != name:
-                spec = replace(spec, name=name)
-            specs[name, key] = spec
-        outcome = payload["outcome"]
-        if outcome != UNOBSERVED and outcome not in spec.outcomes:
-            raise ScenarioValidationError(
-                f"{where}.measure: unknown outcome {outcome!r}; known: "
-                f"{sorted(spec.outcomes)} or {UNOBSERVED!r}"
-            )
-        steps.append(MeasureStep(spec, outcome))
+                spec = tables[key]
+                if spec.name != name:
+                    spec = replace(spec, name=name)
+                specs[name, key] = spec
+            outcome = payload["outcome"]
+            if outcome != UNOBSERVED and outcome not in spec.outcomes:
+                raise ScenarioValidationError(
+                    f"{where}.measure: unknown outcome {outcome!r}; known: "
+                    f"{sorted(spec.outcomes)} or {UNOBSERVED!r}"
+                )
+            steps.append(MeasureStep(spec, outcome))
 
     post = None
     if doc.post_selection is not None:
@@ -1046,17 +1064,17 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
                     CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
                 )
         # by map, since specs of one payload under other names share their maps;
-        # a report keeps its verdict, not its d**4 Choi matrix
-        reports = {}
+        # the verdicts are kept, never a d**4 Choi matrix
+        verdicts = {}
         for spec in specs if bound.space.cone_kind == "psd" else []:
             # the outcomes in order, then the parent: the goldens pin this order
             for label, op in (*spec.outcomes.items(), ("parent", spec.parent)):
-                if op not in reports:
-                    reports[op] = choi_cp_check(op, tol)._replace(choi=None)
-                report = reports[op]
+                if op not in verdicts:
+                    verdicts[op] = _choi_verdict(op, tol)[1:]
+                is_cp, min_eig = verdicts[op]
                 checks.append(CheckResult(
-                    "complete_positivity", f"{spec.name}:{label}", report.is_cp,
-                    f"min Choi eigenvalue {report.min_eigenvalue:.6e}",
+                    "complete_positivity", f"{spec.name}:{label}", is_cp,
+                    f"min Choi eigenvalue {min_eig:.6e}",
                 ))
         if bound.post_selection is not None:
             checks.append(_cone_check(bound.post_selection, "post_selection", tol))
@@ -1153,11 +1171,21 @@ def _format_real(x: float) -> str:
     return format(x, ".17g")
 
 
+#: The text of a scalar of each exact type; :func:`_render_scalar` takes a
+#: subclass, such as numpy's, by the type it extends.
+_SCALAR_TEXT = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    float: _format_real,
+    int: str,
+    str: _json_string,
+}
+
+
 def _render_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, float):
         return _format_real(value)
     if isinstance(value, (int, np.integer)):
@@ -1171,19 +1199,19 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str, np.integer))
 
 
-def _render(value, indent: int, rows: dict) -> str:
+def _render(value, indent: int, rows: dict, keys: dict) -> str:
     """``value`` laid out at ``indent``.  ``rows`` holds the text of each
     mapping rendered so far, keyed by the indent and the mapping's ``id``: the
     whole value holds every mapping in it until the call returns, so an ``id``
-    names one object throughout."""
-    pad = " " * indent
+    names one object throughout.  ``keys`` holds the text of each str key."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, dict):
         row = (indent, id(value))
         text = rows.get(row)
         if text is None:
-            text = rows[row] = _render_mapping(
-                value, indent, lambda v: _render(v, indent + 2, rows)
-            )
+            text = rows[row] = _render_mapping(value, indent, rows, keys)
         return text
     if isinstance(value, (list, tuple)):
         items = list(value)
@@ -1204,26 +1232,35 @@ def _render(value, indent: int, rows: dict) -> str:
                 "[" + ", ".join(_render_scalar(e) for e in v) + "]" for v in items
             )
             return "[" + inner_rows + "]"
-        lines = ",\n".join(f"{pad}  {_render(v, indent + 2, rows)}" for v in items)
+        pad = " " * indent
+        lines = ",\n".join(f"{pad}  {_render(v, indent + 2, rows, keys)}" for v in items)
         return "[\n" + lines + "\n" + pad + "]"
     return _render_scalar(value)
 
 
-def _render_mapping(value: dict, indent: int, render_value) -> str:
+def _render_mapping(value: dict, indent: int, rows: dict, keys: dict) -> str:
     if not value:
         return "{}"
     pad = " " * indent
-    lines = ",\n".join(
-        f"{pad}  {_json_string(str(k))}: {render_value(v)}" for k, v in value.items()
-    )
-    return "{\n" + lines + "\n" + pad + "}"
+    lines = []
+    for k, v in value.items():
+        if type(k) is str:  # not 1, 1.0 or True, which hash alike
+            key = keys.get(k)
+            if key is None:
+                key = keys[k] = _json_string(k)
+        else:
+            key = _json_string(str(k))
+        text = _SCALAR_TEXT.get(type(v))
+        text = text(v) if text is not None else _render(v, indent + 2, rows, keys)
+        lines.append(f"{pad}  {key}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
 
 
 def render_json(value) -> str:
     """Canonical report text: fixed layout, reals at 17 significant digits.
     A mapping that appears more than once, such as the row that every evolve
     step of a report shares, is rendered once per call at each indent."""
-    return _render(value, 0, {}) + "\n"
+    return _render(value, 0, {}, {}) + "\n"
 
 
 def render_report(report: RunReport) -> str:

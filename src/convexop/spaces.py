@@ -103,6 +103,9 @@ class ModelSpace:
 
     The space keeps the read-only ``weights``, so that pairings cost
     ``O(dim)``; :attr:`metric` is their diagonal matrix, built when read.
+    The order unit as an :class:`Element`, the weights ``g = weights * unit``
+    it pairs with, and the tolerance scale of ``g`` are computed once, on
+    first use, and kept read-only.
     """
 
     space_id: str
@@ -185,6 +188,25 @@ class ModelSpace:
         metric.setflags(write=False)
         return metric
 
+    @cached_property
+    def _unit_element(self) -> "Element":
+        return Element._taking(self, self.unit)
+
+    @cached_property
+    def _unit_weights(self) -> np.ndarray:
+        """``g = weights * unit``, read-only: ``<e, b> = g . b`` for every ``b``;
+        an entry that overflows is inf, for its checks to reject."""
+        with np.errstate(over="ignore"):
+            g = self.weights * self.unit
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def _unit_weights_scale(self) -> float:
+        """``scaled_tol(1.0, g)``: a tolerance ``tol`` at the scale of ``g`` is
+        ``tol`` times it."""
+        return scaled_tol(1.0, self._unit_weights)
+
     def with_id(self, space_id: str) -> "ModelSpace":
         """Copy of this space under a new identifier (a relabeled time slice)."""
         return ModelSpace(
@@ -206,7 +228,18 @@ class Element:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.array(self.coords, dtype=float)
+        self._hold(np.array(self.coords, dtype=float))
+
+    @classmethod
+    def _taking(cls, space: ModelSpace, coords: np.ndarray) -> "Element":
+        """An element holding ``coords``, a float array the caller made and no
+        longer writes to, without the copy the constructor makes."""
+        b = cls.__new__(cls)
+        object.__setattr__(b, "space", space)
+        b._hold(coords)
+        return b
+
+    def _hold(self, coords: np.ndarray) -> None:
         if coords.shape != (self.space.dim,):
             raise SpaceMismatchError(
                 f"coordinate shape {coords.shape} does not match dimension "
@@ -263,8 +296,12 @@ def zero_element(space: ModelSpace) -> Element:
 
 
 def unit_element(space: ModelSpace) -> Element:
-    """The order unit of the space as an element."""
-    return Element(space, space.unit)
+    """The order unit of the space as an element.
+
+    It is the space's shared, read-only element: every call on one space
+    returns the same object, built on the first.
+    """
+    return space._unit_element
 
 
 def inner(b: Element, c: Element) -> float:
@@ -333,7 +370,7 @@ def normalize_state(b: Element, tol: float = DEFAULT_TOL) -> Element:
         raise ZeroStateError(
             "cannot normalize: pairing with the order unit is not positive"
         )
-    return Element(b.space, b.coords / total)
+    return Element._taking(b.space, b.coords / total)
 
 
 def product_space(a: ModelSpace, b: ModelSpace) -> ModelSpace:

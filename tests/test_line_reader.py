@@ -14,9 +14,12 @@ libyaml reads the text.  Two mutant readers must be caught.
 The Kraus step and the qudit documents are read by lines since the reader
 reads its own number lists; a 4-deep list went to libyaml before.  The
 single load, the repeated key beside a nested merge and the complex-row
-property pin what the line reader did from the start.
+property pin what the line reader did from the start.  A text that leaves the
+line reader reads each number list once: the lists the reader read are not
+read again.
 """
 
+import json
 import pathlib
 import re
 import sys
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 from test_loader_differential import _alike, composed_nodes, outcome, same
 
 from convexop import scenario
+from convexop.errors import ScenarioSyntaxError
 from convexop.scenario import _load_yaml
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "bench"))
@@ -184,6 +188,18 @@ def test_a_text_read_by_lines_is_loaded_once():
     with mock.patch.object(scenario.yaml, "load", wraps=yaml.load) as load:
         _load_yaml(text)
     assert load.call_count == 1
+
+
+def test_a_text_that_leaves_the_line_reader_reads_each_list_once():
+    # the line reader reads both lists before the repeated key sends the text
+    # to libyaml, whose blanking takes them back instead of reading them again
+    text = "a: [1, 2]\nb: [3]\na: 3\n"
+    with mock.patch.object(scenario.json, "loads", wraps=json.loads) as loads:
+        with pytest.raises(ScenarioSyntaxError) as info:
+            _load_yaml(text)
+    assert loads.call_count == 2
+    assert (str(info.value), info.value.line, info.value.column) == (
+        "found duplicate key 'a' (line 3, column 1)", 3, 1)
 
 
 def catches(mutant) -> str:

@@ -6,7 +6,9 @@ that is out of range or repeats an earlier entry.  ``indicator_measurement``,
 ``scenario._cycles_to_image`` and ``EvolutionGroup`` ask it and keep their own
 error classes and messages.  Integers past int64 count as out of range and
 are named by their exact value; they never raise ``OverflowError`` and never
-wrap.
+wrap.  An integer array passes on one sort, and the property below holds that
+pass and the in-order walk to one answer, on lists and int32, int64 and
+uint64 arrays of up to 2,000 points.
 """
 
 import numpy as np
@@ -72,17 +74,60 @@ def test_first_bad_point(indices, n, expected):
     assert _first_bad_point(indices, n) == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-3, 12) | st.sampled_from(HUGE + [-(2**64)]), max_size=12),
-       st.integers(1, 10))
-def test_first_bad_point_matches_a_walk_in_order(indices, n):
-    seen, expected = set(), None
+#: The integer arrays an index list may come as, with the values each holds.
+DTYPES = {np.int32: (-(2**31), 2**31), np.int64: (-(2**63), 2**63), np.uint64: (0, 2**64)}
+
+
+@st.composite
+def short_lists(draw) -> tuple:
+    """A few points near ``0..n-1``, some of them past int64, and ``n``."""
+    indices = draw(st.lists(st.integers(-3, 12) | st.sampled_from(HUGE + [-(2**64)]),
+                            max_size=12))
+    return indices, draw(st.integers(1, 10))
+
+
+@st.composite
+def planted_lists(draw) -> tuple:
+    """Up to ``n`` distinct points of ``0..n-1``, ``n`` up to 2,000, with at
+    most one repeat of an earlier entry or one point out of range planted."""
+    n = draw(st.integers(1, 2000) | st.just(2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # all points, or half of them as a subset has, or any number
+    size = draw(st.sampled_from([n, n // 2]) | st.integers(0, n))
+    indices = rng.permutation(n)[:size].tolist()
+    plant = draw(st.sampled_from(["none", "repeat", "below", "above"]))
+    if indices and plant != "none":
+        at = draw(st.integers(0, len(indices) - 1))
+        if plant == "repeat":
+            indices.insert(at + 1, indices[draw(st.integers(0, at))])
+        else:
+            gap = draw(st.sampled_from([1, 2, 2**31, 2**62]))
+            indices[at] = -gap if plant == "below" else n - 1 + gap
+    return indices, n
+
+
+def walk(indices, n: int):
+    """The first entry, in order, out of ``0..n-1`` or seen before."""
+    seen = set()
     for k, i in enumerate(indices):
         if not 0 <= i < n or i in seen:
-            expected = k
-            break
+            return k
         seen.add(i)
-    assert _first_bad_point(indices, n) == expected
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_lists() | planted_lists(), st.data())
+def test_first_bad_point_matches_a_walk_in_order(case, data):
+    # as a list, or as an int32, int64 or uint64 array, where every entry fits
+    indices, n = case
+    forms = [list] + [
+        dtype for dtype, (low, high) in DTYPES.items()
+        if all(low <= i < high for i in indices)
+    ]
+    form = data.draw(st.sampled_from(forms))
+    given_as = indices if form is list else np.array(indices, dtype=form)
+    assert _first_bad_point(given_as, n) == walk(indices, n)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,23 @@ def test_normalize_state_unit_pairing():
     assert inner(unit_element(space), x) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("make", [classical3, qubit])
+def test_unit_element_is_one_read_only_element_per_space(make):
+    space = make()
+    unit = unit_element(space)
+    assert unit_element(space) is unit
+    assert unit.space is space and not unit.coords.flags.writeable
+    with pytest.raises(ValueError):
+        unit.coords[0] = 2.0
+    relabeled = space.with_id("later")
+    assert unit_element(relabeled) is not unit
+    assert unit_element(relabeled).space is relabeled
+    # the pairing keeps the bits of a fresh element built from the unit
+    x = sample_cone(space, np.random.default_rng(5))
+    assert inner(unit, x) == float(space.unit @ (space.weights * x.coords))
+    assert inner(unit, x) == inner(Element(space, space.unit), x)
+
+
 def test_normalize_state_rejects_zero():
     space = classical3()
     with pytest.raises(ZeroStateError):
