@@ -7,11 +7,12 @@ optional post-selection.  Documents are YAML mappings with a strict
 schema; unknown fields are rejected.
 
 Complex numbers are written as ``[re, im]`` pairs wherever a matrix or
-amplitude entry allows them.  A one-line list of plain decimal numbers is
-read in one ``json.loads`` call, and a plain block document line by line,
-with the values, errors and exit codes of a plain YAML load.  Reports are
-rendered to a canonical JSON text with reals at 17 significant digits, so
-identical documents produce byte-identical reports.
+amplitude entry allows them.  A plain block document is read line by line,
+each one-line list of plain decimal numbers in one ``json.loads`` call, and
+any other text by libyaml whole, once; either way with the values, errors and
+exit codes of a plain YAML load.  Reports are rendered to a canonical JSON
+text with reals at 17 significant digits, so identical documents produce
+byte-identical reports.
 
 Measurement forms
 -----------------
@@ -39,7 +40,6 @@ import math
 import re
 import reprlib
 import sys
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, filterfalse
@@ -416,18 +416,38 @@ _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 #: in linear time.  :func:`_numbers` reads it.
 _NUMBER_LIST = re.compile(r"\[N(?:\[N(?:\[N(?:\[N\]N)*\]N)*\]N)*\]".replace("N", "[-+.0-9eE, ]*"))
 
+# The tokens of the line reader: a scalar is a word or number of plain
+# characters, or a double- or single-quoted string without escapes or "''";
+# a list is a one-line run of number characters in brackets, read only if it
+# is a _NUMBER_LIST; an anchor or alias has libyaml's name characters.
+_SCALAR = r"""[-+.]?[0-9A-Za-z_][-+.0-9A-Za-z_]*|"[ !#-[\]-~]*"|'[ -&(-~]*'"""
+_LIST = r"\[[-+.0-9eE, \[\]]*\]"
+_NAME = r"[-0-9A-Za-z_]+"
+
+
+#: A one-line flow mapping of scalars, number lists and aliases, each value
+#: anchored or not: pairs, each followed by ", " or the "}".  A mapping
+#: nested in it goes to libyaml.
+_FLOW = (rf"\{{ *(?:(?:{_SCALAR}): +(?:(?:&{_NAME} +)?(?:{_SCALAR}|{_LIST})|\*{_NAME})"
+         rf" *(?:, +(?!\}})|(?=\}})))* *\}}")
+
+
 #: One line of a plain block document: indent, then a full-line comment, or
-#: an optional "- ", an optional key and its colon and an optional value.
-#: A scalar is a word or number of plain characters, or a double-quoted
-#: string without escapes; a value may also be a one-line list of number
-#: characters, read only if it is a :data:`_NUMBER_LIST`.  Printable ASCII
-#: only: a tab, "\r" or any other character lands in the last group.
+#: an optional "- ", key and colon, anchor and value, and an optional comment
+#: after a space; then the "\r" of a CRLF line end.  A value is a scalar, a
+#: list, a one-line flow mapping of these, or an alias, which takes no
+#: anchor.  Printable ASCII only: a tab, a lone "\r" or any other character
+#: lands in the last group.  An empty alternative stands for "?" where
+#: Python's ``re`` runs it faster.
 _LINE = re.compile(
-    r'^( *)(?:#[ -~]*|(- +)?(?:(T):(?: +|$))?(T|\[[-+.0-9eE, \[\]]*\])?) *(.*)$'.replace(
-        "T", r'[-+.]?[0-9A-Za-z_][-+.0-9A-Za-z_]*|"[ !#-[\]-~]*"'
-    ),
+    rf"^( *)(?:#[ -~]*|(- +)?(?:({_SCALAR}):(?: +|(?=\r?$))|)(?:&({_NAME})(?: +|(?=\r?$))(?!\*)|)"
+    rf"({_SCALAR}|{_LIST}|{_FLOW}|\*{_NAME}|)) *(?:(?<= )#[ -~]*|)\r?(.*)$",
     re.M,
 )
+
+#: In a flow mapping that :data:`_LINE` took: a pair's key, its anchor and its
+#: value.
+_FLOW_ITEM = re.compile(rf"({_SCALAR}): +(?:&({_NAME}) +)?({_SCALAR}|{_LIST}|\*{_NAME})")
 
 
 def _numbers(span: str) -> list:
@@ -441,14 +461,6 @@ def _numbers(span: str) -> list:
     return json.loads(span)  # or ValueError: not JSON, or an integer past int()'s digit limit
 
 
-def _numbers_or_none(span: str):
-    """:func:`_numbers`, or None where it raises ValueError."""
-    try:
-        return _numbers(span)
-    except ValueError:
-        return None
-
-
 class _NotPlain(Exception):
     """A text off the line reader's grammar, left to libyaml whole."""
 
@@ -458,65 +470,57 @@ class _Loader(_SAFE_LOADER):
     a key repeated in one mapping instead of keeping its last value.
 
     A plain block document is read line by line (:data:`_LINE`), with no
-    node composed: block mappings and sequences, plain or double-quoted keys,
-    full-line comments, words that the resolver tags str, plain decimals
-    (:data:`_DECIMAL`) and one-line number lists (:func:`_numbers`).  Any
-    other text goes to libyaml whole, after :func:`_check_nesting` has walked
-    it, with its number lists blanked where they start a value or an item
-    (:meth:`_load_numbers_apart`), or as it stands if that load fails.  There
-    SafeLoader's constructors build every node, filling collections from
-    PyYAML's queue, so nesting costs no recursion; :meth:`_construct_map`
-    rejects a repeated key, and :meth:`_construct_seq` takes back a blanked list.
+    node composed: block mappings and sequences, plain or quoted keys,
+    comments, words that the resolver tags str, plain decimals
+    (:data:`_DECIMAL`), one-line number lists (:func:`_numbers`), one-line
+    flow mappings of these, and anchors and aliases, an alias giving the
+    anchored object itself.  Any other text goes to libyaml whole, once, after
+    :func:`_check_nesting` has walked it.  There SafeLoader's constructors
+    build every node, filling collections from PyYAML's queue, so nesting
+    costs no recursion; :meth:`_construct_map` rejects a repeated key.
 
     A text the line reader has read is walked only where the reader's bound
-    could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.  A number list
-    is read once per load: the lists the line reader read before a text left
-    it are taken back by the blanking.
+    could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
     """
 
     def __init__(self, stream):
         super().__init__(stream)
         self.text = stream
-        self.lists = {}  # the number lists blanked out of the text, by offset
         self.written = {}  # each mapping node's pairs before a merge flattened it
-        # the text of each number list the line reader read, and its value, or
-        # None where _numbers raised; kept in a list, so no long text is hashed
-        self.read = []
 
     def get_single_data(self):
-        # a leading byte order mark is dropped: libyaml leaves it out of its
-        # node indexes, so the blanked lists after it would not be found
-        text = self.text.removeprefix("\ufeff")
-        try:
-            return self._read_lines(text)
+        try:  # libyaml drops a leading byte order mark too
+            return self._read_lines(self.text.removeprefix("\ufeff"))
         except _NotPlain:
             pass
-        _check_nesting(self.text)  # the raw text, before libyaml composes it
-        try:
-            return self._load_numbers_apart(text)
-        except Exception:  # the text as it stands gives the data or the error
-            return super().get_single_data()
+        _check_nesting(self.text)  # before libyaml composes the text
+        return super().get_single_data()
 
     def _read_lines(self, text):
         """The data of a plain block document, in one pass with an explicit
         stack; raises :class:`_NotPlain` on anything else, before it reads a
         number list if a line has text off the grammar."""
-        words = {}  # each str read so far
+        words, anchors = {}, {}  # each str read so far; each anchored object
 
-        def scalar(token):
-            if token[0] == "[":
+        def read(token):
+            """The value of a scalar, a list or an alias."""
+            first = token[0]
+            if first == "[":
                 if not _NUMBER_LIST.fullmatch(token):
                     raise _NotPlain
-                value = _numbers_or_none(token)
-                self.read.append((token, value))
-                if value is None:
-                    raise _NotPlain
-                return value
+                try:
+                    return _numbers(token)
+                except ValueError:
+                    raise _NotPlain from None
             if token in words:
                 return words[token]
             if _DECIMAL.fullmatch(token):  # the int and float SafeLoader builds
                 return float(token) if "." in token else int(token)
-            if token[0] == '"':
+            if first == "*":
+                if token[1:] in anchors:
+                    return anchors[token[1:]]
+                raise _NotPlain  # libyaml names the undefined alias
+            if first in "\"'":
                 words[token] = token[1:-1]
             elif self.resolve(yaml.ScalarNode, token, (True, False)) == "tag:yaml.org,2002:str":
                 words[token] = token
@@ -524,23 +528,46 @@ class _Loader(_SAFE_LOADER):
                 raise _NotPlain
             return words[token]
 
+        def anchor(name, value):
+            if name in anchors:
+                raise _NotPlain  # libyaml names the repeated anchor
+            anchors[name] = value
+
+        def mapping(span):
+            """A flow mapping that :data:`_LINE` took.  ``read`` must not call
+            this: a cycle of closures would keep the loader, and libyaml's copy
+            of the text, alive until the collector runs."""
+            data = {}
+            for token, name, value in _FLOW_ITEM.findall(span):
+                key = read(token)
+                if len(token) > 1024 or key in data:  # as in the block loop below
+                    raise _NotPlain
+                data[key] = read(value)
+                if name:
+                    anchor(name, data[key])
+            return data
+
         lines = _LINE.findall(text)
-        if any(line[4] for line in lines):
+        if any(line[5] for line in lines):
             raise _NotPlain
         root, stack, pending, deepest = None, [], None, 1  # stack: (column, collection)
-        for indent, dash, key, value, _ in lines:
+        for indent, dash, key, name, value, _ in lines:
             if len(key) > 1024:  # libyaml's longest simple key
                 raise _NotPlain
-            if not (dash or key or value):
+            if not (dash or key or name or value):
                 continue  # a blank or comment line
             column = len(indent)
             if root is None:
                 root = [] if dash else {}
                 stack.append((column, root))
-            elif pending is not None:  # a deeper mapping, or a sequence from the key's column
-                if column < stack[-1][0] + (not dash):
+            elif pending is not None:  # a collection under the key or the item above
+                at, parent = stack[-1]
+                # deeper than its key or item, or a sequence from its key's column
+                if column < at + (not dash or type(parent) is list):
                     raise _NotPlain  # an empty value
-                stack[-1][1][pending] = node = [] if dash else {}
+                parent[pending[0]] = node = [] if dash else {}
+                if pending[1]:
+                    anchor(pending[1], node)
                 stack.append((column, node))
                 deepest = max(deepest, len(stack))
                 pending = None
@@ -557,64 +584,37 @@ class _Loader(_SAFE_LOADER):
                 node = item
                 stack.append((column + len(dash), node))
                 deepest = max(deepest, len(stack))
-            elif dash and value:
-                node.append(scalar(value))
+            elif dash:
+                if not value:  # the item is on the lines below
+                    node.append(None)
+                    pending = len(node) - 1, name
+                    continue
+                node.append(mapping(value) if value[0] == "{" else read(value))
+                if name:
+                    anchor(name, node[-1])
                 continue
             elif not key:
-                raise _NotPlain  # a lone "- " or scalar
-            key = scalar(key)
+                raise _NotPlain  # a lone scalar or anchor
+            key = read(key)
             if key in node:
                 raise _NotPlain  # libyaml's walk names the repeated key
-            if value:
-                node[key] = scalar(value)
-            else:
-                pending = key
+            if not value:
+                pending = key, name
+                continue
+            node[key] = mapping(value) if value[0] == "{" else read(value)
+            if name:
+                anchor(name, node[key])
         if pending is not None:
             raise _NotPlain
-        # upper bounds for the text: its number lists nest at most 4 levels
-        # below the deepest line; of its events, 4 are the stream's and the
-        # document's, and 2 each are a collection's, of which a line opens at
-        # most 2; every other "[", and every scalar (1 event), takes a character
-        depth = deepest + 4
+        # upper bounds for the text: a flow mapping and the number lists in it
+        # nest at most 5 levels below the deepest line; of its events, 4 are
+        # the stream's and the document's, and 2 each are a collection's, of
+        # which a line opens at most 2; every other "[" or "{", and every
+        # scalar or alias (1 event), takes a character
+        depth = deepest + 5
         if depth > MAX_NESTING or depth * (6 + 4 * len(lines) + 2 * len(text)) > MAX_NESTING_WORK:
             _check_nesting(self.text)
         return root
-
-    def _load_numbers_apart(self, text):
-        """The data of ``text`` with each :data:`_NUMBER_LIST` that starts a
-        value or an item read by :func:`_numbers` and blanked to ``[]`` and
-        spaces, so that libyaml composes only the structure and every later
-        mark stays put; raises if no list is blanked, or one is not read back.
-        """
-        lists, spare = {}, defaultdict(list)
-        for span, value in self.read:
-            spare[span].append(value)
-
-        def blank(match) -> str:
-            span = match.group()
-            line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-            # a list in a comment is never read, and one inside a scalar is its own
-            if "#" in line and re.search(r"(?:^|[ \t])#", line) or not _starts_value(line):
-                return span
-            taken = spare.get(span)
-            value = taken.pop() if taken else _numbers_or_none(span)
-            if value is None:
-                return span
-            lists[match.start()] = value
-            return "[]".ljust(len(span))
-
-        blanked = _NUMBER_LIST.sub(blank, text)
-        if not lists:
-            raise _NotPlain
-        loader = type(self)(blanked)
-        loader.lists = lists
-        try:
-            data = loader.construct_document(loader.get_single_node())
-        finally:
-            loader.dispose()
-        if lists:
-            raise ValueError("a number list was not read")
-        return data
 
     def flatten_mapping(self, node):
         # PyYAML flattens in place, and a node may be flattened again: keep the first pairs
@@ -646,14 +646,8 @@ class _Loader(_SAFE_LOADER):
             data.clear()
             data.update(self.construct_mapping(node))
 
-    def _construct_seq(self, node):  # an empty one may be a blanked number list
-        if node.value or node.id != "sequence":
-            return self.construct_yaml_seq(node)
-        return self.lists.pop(node.start_mark.index, [])
-
 
 _Loader.add_constructor("tag:yaml.org,2002:map", _Loader._construct_map)
-_Loader.add_constructor("tag:yaml.org,2002:seq", _Loader._construct_seq)
 
 
 def _check_nesting(text: str) -> None:
@@ -680,20 +674,6 @@ def _check_nesting(text: str) -> None:
             continue
         mark = event.start_mark
         raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
-
-
-def _starts_value(line: str) -> bool:
-    """Whether a flow list after ``line``, the text before it on its line,
-    starts a value or an item: ``line`` is blank, or ends in a flow "[", "{"
-    or ",", or in a "- ", "? " or ": " indicator and blanks.  A list after
-    an anchor or a tag is left to libyaml."""
-    before = line.rstrip(" \t")
-    last = before[-1:]
-    if last in ("", "[", "{", ","):
-        return True
-    if before == line or last not in ("-", "?", ":"):
-        return False
-    return last == ":" or before[-2:-1] in ("", " ", "\t")
 
 
 def _load_yaml(text: str):
@@ -763,7 +743,8 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
         data["post_selection"] = doc.post_selection
     if doc.seed is not None:
         data["seed"] = doc.seed
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+    # no line width: a list on one line is read by lines, without a node composed
+    return yaml.safe_dump(data, sort_keys=False, default_flow_style=None, width=math.inf)
 
 
 # ---------------------------------------------------------------------------

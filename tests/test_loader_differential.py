@@ -9,6 +9,10 @@ a sign, Unicode digits, 5,000-digit integers, explicit ``!!int``,
 sequences, mapping values and keys, under anchors and aliases.  Each
 document must load to the same data through ``_load_yaml`` with either
 loader, or fail with the same exception and text.
+
+The second half puts one-line number lists, which the line reader reads with
+``json.loads``, where reading them apart from their text would change what it
+means; the reference is the text as libyaml reads it whole.
 """
 
 import pathlib
@@ -139,10 +143,10 @@ def test_loader_reads_listed_texts_like_safe_loader(text):
 # ---------------------------------------------------------------------------
 #
 # ``_load_yaml`` reads a one-line flow sequence of plain decimal numbers with
-# ``json.loads``: in the line reader, or ahead of libyaml, which then gets
-# the text with that sequence blanked.  The lists below are put where a
-# blanked sequence would change what the text means.  The data must be what
-# ``yaml.SafeLoader`` reads from the text as it stands.  An error must be the
+# ``json.loads`` in the line reader, or leaves the text to libyaml whole.
+# The lists below are put where a list read apart from its text would change
+# what the text means.  The data must be what ``yaml.SafeLoader`` reads from
+# the text as it stands.  An error must be the
 # one, text and mark, that ``_Loader`` raises on the text as it stands:
 # libyaml words its parser errors otherwise than pure PyYAML ("did not find
 # expected key" for "expected <block end>").
@@ -276,7 +280,7 @@ def test_errors_after_a_byte_order_mark_keep_their_text_and_marks():
 @pytest.mark.parametrize("text", ["a: [1, 2]\n", "\ufeffa: [1, 2]\n",
                                   QUANTUM_ZX, "\ufeff" + QUANTUM_ZX])
 def test_a_text_with_number_lists_is_loaded_once(text):
-    # read by lines (none composed), or with its lists blanked (one)
+    # read by lines (none composed), or by libyaml (one)
     data, composed = composed_nodes(text)
     assert composed <= 1
     assert same(data, yaml.load(text, Loader=yaml.SafeLoader))

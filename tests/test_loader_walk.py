@@ -5,9 +5,9 @@ Plain block documents, every bench document and every file of
 PyYAML's constructors; the two spy tests pin that.  Any other text is
 composed by libyaml, and SafeLoader's constructors build every node of it:
 the loader only rejects a key repeated in one mapping, in pair order beside
-the mapping's other problems, and takes blanked number lists back.  The
-data must stay what ``yaml.SafeLoader`` builds, aliases, merge keys, other
-tags and deep nesting included.
+the mapping's other problems.  The data must stay what ``yaml.SafeLoader``
+builds, aliases, merge keys, other tags and deep nesting included; an alias
+read by lines gives the anchored object itself.
 """
 
 import datetime
@@ -50,7 +50,7 @@ def test_scenario_files_reach_no_pyyaml_constructor(path):
 
 
 @pytest.mark.parametrize("text", [
-    "a: &x [1, 2]\nb: *x\n",  # a number list, read apart
+    "a: &x [1, 2]\nb: *x\n",  # read by lines
     "a: &x [x, [1.5, 2]]\nb: *x\n",
     "a: &x\n  - x\n  - {k: 1}\nb: *x\n",
     "a: &x {k: [1, 2]}\nb: {m: *x}\n",

@@ -2,13 +2,11 @@
 
 The walk (``yaml.parse``, one Python step per event) runs before libyaml
 composes a text, and on a text the line reader has read only when the
-reader's own bound (its deepest stack plus 4 list levels, its line count and
-the text's length) could pass ``MAX_NESTING`` or ``MAX_NESTING_WORK``.  It
-always walks the raw text, never the one with its number lists blanked, and
-at most once per load.  A number list is blanked only where it starts a value
-or an item, so a list inside a scalar costs no second compose.  A second
-compose runs inside the one ``yaml.load``, so the tests count composes
-(``_Loader.get_single_node`` calls).
+reader's own bound (its deepest stack plus a flow mapping and 4 list levels,
+its line count and the text's length) could pass ``MAX_NESTING`` or
+``MAX_NESTING_WORK``.  It walks the text as written, at most once per load,
+and libyaml then composes that text once, inside the one ``yaml.load``, so
+the tests count composes (``_Loader.get_single_node`` calls).
 
 The pool test fails at the parent on qudit_measure documents, whose 4-deep
 Kraus lists sent them to libyaml.  The others pin what the parent already
@@ -63,7 +61,7 @@ def parent_verdict(text: str):
 
 
 def test_a_deep_value_beside_a_number_list_keeps_the_parent_error_and_mark():
-    # the walk of the blanked text would miss 3 levels and pass
+    # a walk of the text without its number lists would miss 3 levels and pass
     error, walks, _ = counted(DEEP_EXTRA, parse_scenario_text)
     assert error == "collections nested deeper than 5000 levels (line 4, column 5007)"
     assert walks == 1
@@ -117,12 +115,12 @@ def test_a_block_document_past_the_bound_is_walked_after_it_is_read():
 
 
 def test_a_text_loaded_twice_is_walked_once():
-    # the list on a continuation line is blanked, the scalar holds "[]", so the
-    # text is loaded again as it stands; its count cannot rule it out
+    # a list on a continuation line sends the text to libyaml, which composes
+    # it once, as it stands; its count cannot rule the walk out
     text = "a: x\n  [1]\n" + "# c\n" * MAX_NESTING
     data, walks, composed = counted(text)
     assert data == yaml.load(text, Loader=yaml.SafeLoader) == {"a": "x [1]"}
-    assert (walks, composed) == (1, 2)
+    assert (walks, composed) == (1, 1)
 
 
 @pytest.mark.parametrize("text", ["a: x#[1]\n", 'a: "[1]"\n', "a: '[1, 2]'\n",

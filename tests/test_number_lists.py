@@ -2,12 +2,11 @@
 
 ``scenario._load_yaml`` reads each one-line flow sequence of plain decimal
 numbers, nested at most 4 deep, with one ``json.loads``: the line reader
-reads the lists of a plain block document itself, and on any other text
-libyaml composes the document with each list blanked where it starts a
-value.  These tests guard what that must keep: a large document composes
-only its structure, by lines or with an anchor, deep nesting still reaches
-the schema, the schema still names the first violation in a long list, and
-a hostile document is refused in linear time.
+reads the lists of a plain block document itself, and libyaml composes any
+other text whole.  These tests guard what that must keep: a large document
+composes only its structure, by lines with or without an anchor, deep
+nesting still reaches the schema, the schema still names the first violation
+in a long list, and a hostile document is refused in linear time.
 """
 
 import json
@@ -52,7 +51,7 @@ def classical_document(n: int = 1024, rounds: int = 20) -> str:
 @pytest.mark.parametrize("anchored", [False, True], ids=["plain", "anchored"])
 def test_a_large_document_composes_only_its_structure(anchored):
     text = classical_document()
-    if anchored:  # off the line reader's grammar: libyaml composes the blanked text
+    if anchored:  # the line reader reads the anchor too
         text = text.replace("  kind: classical", "  kind: &k classical", 1)
     created = []
     init = ScalarNode.__init__

@@ -1,7 +1,11 @@
 """Scenario documents: schema, binding, validation, execution, rendering."""
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
+from test_loader_differential import composed_nodes
 
 from convexop.errors import (
     ScenarioSchemaError,
@@ -19,6 +23,11 @@ from convexop.scenario import (
     serialize_scenario,
     validate_scenario,
 )
+
+ROOT = pathlib.Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import docs  # noqa: E402  (the bench's document generators)
+from worker import MIXES  # noqa: E402
 
 QUANTUM_ZX = """
 model: {kind: quantum, d: 2}
@@ -50,6 +59,17 @@ def test_parse_serialize_round_trip():
     for text in (QUANTUM_ZX, CLASSICAL_CHAIN):
         doc = parse_scenario_text(text)
         assert parse_scenario_text(serialize_scenario(doc)) == doc
+
+
+def test_a_serialized_document_is_read_by_lines():
+    # no list is wrapped across lines, and '1' is a single-quoted scalar
+    zx = (ROOT / "scenarios" / "quantum_zx.yaml").read_text(encoding="utf-8")
+    cells = docs.make_pool("classical_cells", 0, MIXES["classical_cells"])[0].text
+    for source in (zx, cells):
+        doc = parse_scenario_text(source)
+        text = serialize_scenario(doc)
+        assert composed_nodes(text, parse_scenario_text) == (doc, 0)
+    assert "outcome: '1'" in serialize_scenario(parse_scenario_text(zx))
 
 
 def test_syntax_error_carries_position():
