@@ -40,7 +40,7 @@ from .spaces import (
     require_same_space,
     sample_cone,
     scaled_tol,
-    unit_element,
+    unit_pairing,
 )
 
 __all__ = [
@@ -289,7 +289,7 @@ def measurement_defects(spec: MeasurementSpec) -> list:
 
 
 def _require_normalized(b: Element, tol: float, what: str = "state") -> None:
-    total = inner(unit_element(b.space), b)
+    total = unit_pairing(b)
     if not abs(total - 1.0) <= max(tol, 1e-9):
         raise NotNormalizedError(
             f"{what} pairing with the order unit is {total!r}, expected 1"
@@ -308,7 +308,7 @@ def _branch(b: Element, spec: MeasurementSpec, outcome: str, tol: float) -> tupl
             f"known: {sorted(spec.outcomes)}"
         ) from None
     image = apply_operation(op, b)
-    return image, inner(unit_element(b.space), image)
+    return image, unit_pairing(image)
 
 
 def predict(b: Element, spec: MeasurementSpec, outcome: str) -> float:
@@ -324,7 +324,7 @@ def update_state(b: Element, m_a: OperationMap) -> Element:
     """Renormalized state after a selective operation fired."""
     image = apply_operation(m_a, b)
     return _condition(
-        b, image, inner(unit_element(b.space), image), DEFAULT_TOL,
+        b, image, unit_pairing(image), DEFAULT_TOL,
         "cannot condition on an outcome of probability zero",
     )
 

@@ -25,7 +25,7 @@ from .errors import (
     SpaceMismatchError,
     UnsupportedSpaceError,
 )
-from .operational import OperationMap, _sum_gap
+from .operational import OperationMap, _sum_gap, identity_operation
 from .spaces import (
     DEFAULT_TOL,
     Element,
@@ -275,10 +275,7 @@ def transparent_probe(
 
     Its value on ``b1 (x) b2`` is the inner product of the two factors.
     """
-    initial = space.with_id(initial_id) if initial_id else space
-    final = space.with_id(final_id if final_id else space.space_id + "'")
-    coeffs = np.diag(1.0 / space.weights).reshape(-1)
-    return ProbeFunctional((initial, final), coeffs, proper=True)
+    return replace(map_to_probe(identity_operation(space), initial_id, final_id), proper=True)
 
 
 def certify_proper(p: ProbeFunctional) -> ProbeFunctional:

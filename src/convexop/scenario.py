@@ -89,11 +89,10 @@ from .spaces import (
     DEFAULT_TOL,
     Element,
     cone_margin,
-    inner,
     margin_passes,
     normalize_state,
     pairing_passes,
-    unit_element,
+    unit_pairing,
 )
 
 __all__ = [
@@ -1022,7 +1021,7 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
     # arithmetic that overflows leaves an inf or NaN that fails its check
     with np.errstate(over="ignore", invalid="ignore"):
         checks = [_cone_check(bound.initial, "initial", tol)]
-        total = inner(unit_element(bound.space), bound.initial)
+        total = unit_pairing(bound.initial)
         checks.append(
             CheckResult(
                 "normalizable",

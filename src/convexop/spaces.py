@@ -103,9 +103,10 @@ class ModelSpace:
 
     The space keeps the read-only ``weights``, so that pairings cost
     ``O(dim)``; :attr:`metric` is their diagonal matrix, built when read.
-    The order unit as an :class:`Element`, the weights ``g = weights * unit``
-    it pairs with, and the tolerance scale of ``g`` are computed once, on
-    first use, and kept read-only.
+    It holds no :class:`Element`: ``<e, b>`` is ``unit . (weights * b)``,
+    :func:`inner`'s arithmetic, as ``g . b`` for the cached ``g = weights *
+    unit`` may round otherwise (BLAS fuses multiply-adds).  ``g`` and its
+    tolerance scale are computed once, on first use, and kept read-only.
     """
 
     space_id: str
@@ -189,13 +190,9 @@ class ModelSpace:
         return metric
 
     @cached_property
-    def _unit_element(self) -> "Element":
-        return Element._taking(self, self.unit)
-
-    @cached_property
     def _unit_weights(self) -> np.ndarray:
-        """``g = weights * unit``, read-only: ``<e, b> = g . b`` for every ``b``;
-        an entry that overflows is inf, for its checks to reject."""
+        """``g = weights * unit``, read-only: the adjoint of a nonselective map
+        fixes it; an entry that overflows is inf, for its checks to reject."""
         with np.errstate(over="ignore"):
             g = self.weights * self.unit
         g.setflags(write=False)
@@ -296,12 +293,16 @@ def zero_element(space: ModelSpace) -> Element:
 
 
 def unit_element(space: ModelSpace) -> Element:
-    """The order unit of the space as an element.
+    """The order unit as a fresh, read-only element over ``space.unit``;
+    ``<e, b>`` is :func:`unit_pairing`, :func:`inner`'s arithmetic without it
+    (not ``g . b``, whose multiply-adds BLAS may fuse and round otherwise)."""
+    return Element._taking(space, space.unit)
 
-    It is the space's shared, read-only element: every call on one space
-    returns the same object, built on the first.
-    """
-    return space._unit_element
+
+def unit_pairing(b: Element) -> float:
+    """``<e, b>`` as ``inner(unit_element(b.space), b)`` computes it; not as
+    ``g . b``, whose multiply-adds BLAS may fuse, rounding otherwise."""
+    return float(b.space.unit @ (b.space.weights * b.coords))
 
 
 def inner(b: Element, c: Element) -> float:
@@ -365,7 +366,7 @@ def order_unit_lambda(b: Element) -> float:
 
 def normalize_state(b: Element, tol: float = DEFAULT_TOL) -> Element:
     """Scale a nonzero cone element so that its pairing with ``e`` is one."""
-    total = inner(unit_element(b.space), b)
+    total = unit_pairing(b)
     if not pairing_passes(total, b.coords, tol):
         raise ZeroStateError(
             "cannot normalize: pairing with the order unit is not positive"

@@ -42,6 +42,21 @@ def test_run_matches_golden_bytes(capsys):
         assert out == golden, f"report for {name} drifted from its golden copy"
 
 
+#: stdout, stderr and exit code of each verb on each file under scenarios/,
+#: keyed by "<verb> <path from the repo root>"; none depends on the path
+CLI_OUTPUTS = json.loads((GOLDEN / "cli_outputs.json").read_text(encoding="utf-8"))
+SCENARIO_FILES = sorted(p.relative_to(ROOT).as_posix() for p in SCENARIOS.rglob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES)
+@pytest.mark.parametrize("verb", ["run", "validate", "witness-antilattice"])
+def test_cli_output_matches_golden(verb, path, capsys):
+    want = CLI_OUTPUTS[f"{verb} {path}"]
+    assert run_main(verb, ROOT / path) == want["exit"]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want["stdout"], want["stderr"])
+
+
 def test_run_twice_is_byte_identical(capsys):
     run_main("run", SCENARIOS / "postselect.yaml")
     first = capsys.readouterr().out
