@@ -11,8 +11,8 @@ Each element has at most ``d`` of them and about ``2.5 d**2`` in all,
 against the ``d**4`` entries of the dense ``(d**2, d, d)`` array.  Their
 ``(a, i, j, value)`` table is built from :func:`hermitian_basis` on first
 use for each ``d`` and cached, once arranged by output matrix entry
-(:func:`basis_expand`) and once by basis element (:func:`basis_pair`).  A
-contraction adds the terms of each output entry in increasing basis index,
+(:func:`basis_expand`) and once by basis element (:func:`complex_coords`).
+A contraction adds the terms of each output entry in increasing basis index,
 starting from zero: one vector add per level, where level ``k`` holds the
 ``k``-th term of every output entry, and there are at most ``d`` levels.
 That is the order in which a dense sum over the basis adds its nonzero
@@ -29,15 +29,17 @@ has made and is then reused, never shrunk or freed, so a warm kernel
 allocates no array of a contraction's size but the one it hands out.
 With ``n = (5 d**2 - d - 2) / 2`` basis nonzeros, a superoperator at
 dimension ``d`` uses ``rows``, ``sums`` and ``stage`` of ``d**4`` entries
-and ``gathered`` and ``terms`` of ``n d**2``: ``16 (3 d**4 + 2 n d**2)``
-bytes, 1.3 MB at d=10 and 8.3 MB at d=16.  :func:`kraus_matrix` with ``r``
-operators adds ``2 n r d + r d**2`` entries.  Ownership:
-:func:`coords_to_matrix`, :func:`complex_coords`, :func:`basis_expand`,
-:func:`basis_pair` and :func:`kraus_matrix` return new arrays that the
-caller owns; ``quantum.kraus_operation`` and ``unitary_operation`` hand the
-one from :func:`kraus_matrix` to their map, which keeps it without a copy,
-so a map costs one array of ``d**4`` reals.  :func:`choi_scratch` returns a
-view of the workspace, valid until the thread's next kernel call, which
+and ``gathered`` of ``n d**2``: ``16 (3 d**4 + n d**2)`` bytes, 0.87 MB at
+d=10 and 5.7 MB at d=16.  :func:`kraus_matrix` with ``r`` operators adds
+``terms`` of ``n d**2`` entries and ``left`` and ``right`` of ``n r d``;
+it allocates only arrays of ``r d**2`` entries, the conjugated operators
+and the copies in gather order that ``take`` makes.  Ownership:
+:func:`coords_to_matrix`, :func:`complex_coords`, :func:`basis_expand` and
+:func:`kraus_matrix` return new arrays that the caller owns;
+``quantum.kraus_operation`` and ``unitary_operation`` hand the one from
+:func:`kraus_matrix` to their map, which keeps it without a copy, so a map
+costs one array of ``d**4`` reals.  :func:`choi_scratch` returns a view of
+the workspace, valid until the thread's next kernel call, which
 ``quantum.choi_cp_check`` copies into its report.  No other array leaves
 the workspace.
 """
@@ -191,33 +193,15 @@ def _linear(x: np.ndarray, d: int, expand: bool, out: np.ndarray | None = None) 
     def term(source, value):
         shape = (source.size, rows.shape[1])
         gathered = rows.take(source, axis=0, out=_scratch("gathered", shape), mode="clip")
-        terms = _spread(value[:, None], "terms", shape)
-        return np.multiply(terms, gathered, out=terms)
+        return np.multiply(gathered, value[:, None], out=gathered)
 
     return _contract(d, expand, term, out)
-
-
-def _spread(x: np.ndarray, name: str, shape: tuple) -> np.ndarray:
-    """``x`` broadcast to ``shape`` and written out to the workspace.
-
-    A ufunc given a broadcast operand iterates through buffers of its own,
-    which it allocates on every call; on operands of one shape it does not.
-    """
-    out = _scratch(name, shape)
-    np.copyto(out, x)
-    return out
 
 
 def basis_expand(coords: np.ndarray) -> np.ndarray:
     """``sum_a coords[a] B_a``: ``(d**2, ...)`` to ``(d, d, ...)``."""
     d = math.isqrt(coords.shape[0])
     return _linear(coords, d, True).reshape((d, d) + coords.shape[1:])
-
-
-def basis_pair(mats: np.ndarray) -> np.ndarray:
-    """``tr(B_a m)`` for each ``m``: ``(d, d, ...)`` to ``(d**2, ...)``."""
-    d = mats.shape[0]
-    return _linear(mats, d, False).reshape((d * d,) + mats.shape[2:])
 
 
 def matrix_to_coords(mat: np.ndarray) -> np.ndarray:
@@ -242,8 +226,8 @@ def kraus_matrix(ops: np.ndarray) -> np.ndarray:
     """
     r, d = ops.shape[0], ops.shape[-1]
     # columns[i, r] = K_r[:, i]
-    columns = _scratch("columns", (d, r, d))
-    np.copyto(columns, ops.transpose(2, 0, 1))
+    columns = np.asarray(ops, dtype=complex).transpose(2, 0, 1)
+    conjugates = columns.conj()
 
     def image(source, value):
         # value * K_r[:, i] K_r[:, j]^dagger for the nonzero B_a[i, j], summed
@@ -252,9 +236,8 @@ def kraus_matrix(ops: np.ndarray) -> np.ndarray:
         # without buffers of its own
         shape = (source.size, r, d)
         left = columns.take(source % d, axis=0, out=_scratch("left", shape), mode="clip")
-        np.multiply(left, _spread(value[:, None, None], "terms", shape), out=left)
-        right = columns.take(source // d, axis=0, out=_scratch("right", shape), mode="clip")
-        np.conjugate(right, out=right)
+        np.multiply(left, value[:, None, None], out=left)
+        right = conjugates.take(source // d, axis=0, out=_scratch("right", shape), mode="clip")
         return np.einsum("lrx,lry->lxy", left, right, out=_scratch("terms", (source.size, d, d)))
 
     images = _contract(d, False, image, _scratch("stage", (d * d, d, d)))
@@ -284,9 +267,7 @@ def choi_scratch(matrix: np.ndarray) -> np.ndarray:
     units = _linear(images.T, d, True, stage)
     choi = _scratch("rows", stage.shape)
     np.copyto(choi.reshape(d, d, d, d), units.reshape(d, d, d, d).transpose(2, 1, 3, 0))
-    mean = stage
-    np.copyto(mean, choi.T)
-    np.conjugate(mean, out=mean)
+    mean = np.conjugate(choi.T, out=stage)
     np.add(choi, mean, out=mean)
     # "*= 0.5" differs where an overflowed map left inf beside NaN
     return np.divide(mean, 2.0, out=mean)
@@ -299,7 +280,8 @@ def complex_coords(mat: np.ndarray) -> np.ndarray:
     matrices; used when a real-linear map on coordinates has to act on
     matrix units.
     """
-    return basis_pair(np.asarray(mat, dtype=complex))
+    mat = np.asarray(mat, dtype=complex)
+    return _linear(mat, mat.shape[0], False).reshape(-1)
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

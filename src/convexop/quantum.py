@@ -399,10 +399,11 @@ def unitary_operation(space: ModelSpace, u: np.ndarray) -> OperationMap:
 
 
 def _rk4(f, y, t: float, dt: float):
-    if dt <= 0:
+    # written so that NaN fails them too
+    if not dt > 0:
         raise ValueError("step size must be positive")
-    if t < 0:
-        raise ValueError("integration time must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError("integration time must be finite and nonnegative")
     remaining = float(t)
     while remaining > 1e-15:
         h = min(dt, remaining)

@@ -319,14 +319,18 @@ def cone_margin(b: Element) -> float:
     """How far inside the cone ``b`` lies; it is in the cone iff this is >= 0.
 
     componentwise: the least coordinate; psd: the least eigenvalue of the
-    matrix form.  Product spaces refuse the query, since deciding membership
-    in a tensor-product cone with a psd factor is outside what this library
-    commits to.
+    matrix form, or NaN when a coordinate is not finite.  Product spaces
+    refuse the query, since deciding membership in a tensor-product cone
+    with a psd factor is outside what this library commits to.
     """
     kind = b.space.cone_kind
     if kind == "componentwise":
         return float(b.coords.min())
     if kind == "psd":
+        # LAPACK may return finite eigenvalues for a NaN matrix, and an inf
+        # one warns before it gets there
+        if not np.isfinite(b.coords).all():
+            return np.nan
         return float(np.linalg.eigvalsh(coords_to_matrix(b.coords)).min())
     raise UnsupportedSpaceError(
         "cone membership is only decided for componentwise and psd spaces, "

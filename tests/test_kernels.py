@@ -100,6 +100,24 @@ def test_one_kraus_operator_is_bitwise_dense(d):
     assert np.array_equal(bits(kraus_matrix(ops)), bits(dense_kraus_matrix(ops)))
 
 
+def rotation(d, angle):
+    """A real rotation in the plane of the first two basis vectors."""
+    rot = np.eye(d)
+    if d > 1:
+        c, s = np.cos(angle), np.sin(angle)
+        rot[:2, :2] = [[c, -s], [s, c]]
+    return rot
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_real_kraus_stack_gives_the_bits_of_its_complex_cast(d, r):
+    for ops in (np.stack([np.eye(d)] * r) / np.sqrt(r),
+                np.stack([rotation(d, 0.3 + k) for k in range(r)]) / np.sqrt(r)):
+        assert ops.dtype == np.float64
+        assert np.array_equal(bits(kraus_matrix(ops)), bits(kraus_matrix(ops.astype(complex))))
+
+
 SCENARIO_FILES = sorted((ROOT / "scenarios").rglob("*.yaml"))
 
 
