@@ -8,9 +8,10 @@ schema; unknown fields are rejected.
 
 Complex numbers are written as ``[re, im]`` pairs wherever a matrix or
 amplitude entry allows them.  A plain block document is read line by line,
-each one-line list of plain decimal numbers in one ``json.loads`` call, and
-any other text by libyaml whole, once; either way with the values, errors and
-exit codes of a plain YAML load.  Reports are rendered to a canonical JSON
+without PyYAML, each one-line list of plain decimal numbers in one
+``json.loads`` call, and any other text by libyaml whole, once
+(:mod:`convexop._libyaml`, imported then); either way with the values, errors
+and exit codes of a plain YAML load.  Reports are rendered to a canonical JSON
 text with reals at 17 significant digits, so identical documents produce
 byte-identical reports.
 
@@ -46,8 +47,6 @@ from itertools import chain, filterfalse
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 
 import numpy as np
-import yaml
-from yaml.constructor import ConstructorError
 
 from .classical import (
     PhaseSpace,
@@ -407,7 +406,13 @@ class ScenarioDoc:
 #: to PyYAML.
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+][0-9]+)?)?")
 
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: The start of a plain word that YAML 1.1 may read as other than a str: one
+#: of the 18 bool words or a null word, or a sign, dot or digit that may
+#: start a number, which :data:`_DECIMAL` did not take.  SafeLoader's other
+#: implicit resolvers start with "<", "=", "~" or match the empty word, and
+#: no plain :data:`_SCALAR` starts so.
+_NOT_STR = re.compile(r"[-+.0-9]|(?:yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE"
+                      r"|on|On|ON|off|Off|OFF|null|Null|NULL)\Z")
 
 
 #: A one-line flow sequence of number characters nested at most 4 deep, as a
@@ -464,231 +469,162 @@ class _NotPlain(Exception):
     """A text off the line reader's grammar, left to libyaml whole."""
 
 
-class _Loader(_SAFE_LOADER):
-    """Safe YAML loading, through libyaml where PyYAML has it, that rejects
-    a key repeated in one mapping instead of keeping its last value.
+def _read_lines(text: str):
+    """The data of a plain block document, read without PyYAML in one pass
+    with an explicit stack; raises :class:`_NotPlain` on anything else,
+    before it reads a number list if a line has text off the grammar.
 
-    A plain block document is read line by line (:data:`_LINE`), with no
-    node composed: block mappings and sequences, plain or quoted keys,
-    comments, words that the resolver tags str, plain decimals
-    (:data:`_DECIMAL`), one-line number lists (:func:`_numbers`), one-line
-    flow mappings of these, and anchors and aliases, an alias giving the
-    anchored object itself.  Any other text goes to libyaml whole, once, after
-    :func:`_check_nesting` has walked it.  There SafeLoader's constructors
-    build every node, filling collections from PyYAML's queue, so nesting
-    costs no recursion; :meth:`_construct_map` rejects a repeated key.
+    A line (:data:`_LINE`) holds block mapping keys and sequence items, plain
+    or quoted keys, comments, words that YAML 1.1 reads as str (none that
+    :data:`_NOT_STR` matches), plain decimals (:data:`_DECIMAL`), one-line
+    number lists (:func:`_numbers`), one-line flow mappings of these, and
+    anchors and aliases, an alias giving the anchored object itself.  The
+    text is walked only where the reader's bound could pass
+    :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`."""
+    words, anchors = {}, {}  # each str read so far; each anchored object
 
-    A text the line reader has read is walked only where the reader's bound
-    could pass :data:`MAX_NESTING` or :data:`MAX_NESTING_WORK`.
-    """
-
-    def __init__(self, stream):
-        super().__init__(stream)
-        self.text = stream
-        self.written = {}  # each mapping node's pairs before a merge flattened it
-
-    def get_single_data(self):
-        try:  # libyaml drops a leading byte order mark too
-            return self._read_lines(self.text.removeprefix("\ufeff"))
-        except _NotPlain:
-            pass
-        _check_nesting(self.text)  # before libyaml composes the text
-        return super().get_single_data()
-
-    def _read_lines(self, text):
-        """The data of a plain block document, in one pass with an explicit
-        stack; raises :class:`_NotPlain` on anything else, before it reads a
-        number list if a line has text off the grammar."""
-        words, anchors = {}, {}  # each str read so far; each anchored object
-
-        def read(token):
-            """The value of a scalar, a list or an alias."""
-            first = token[0]
-            if first == "[":
-                if not _NUMBER_LIST.fullmatch(token):
-                    raise _NotPlain
-                try:
-                    return _numbers(token)
-                except ValueError:
-                    raise _NotPlain from None
-            if token in words:
-                return words[token]
-            if _DECIMAL.fullmatch(token):  # the int and float SafeLoader builds
-                return float(token) if "." in token else int(token)
-            if first == "*":
-                if token[1:] in anchors:
-                    return anchors[token[1:]]
-                raise _NotPlain  # libyaml names the undefined alias
-            if first in "\"'":
-                words[token] = token[1:-1]
-            elif self.resolve(yaml.ScalarNode, token, (True, False)) == "tag:yaml.org,2002:str":
-                words[token] = token
-            else:
+    def read(token):
+        """The value of a scalar, a list or an alias."""
+        first = token[0]
+        if first == "[":
+            if not _NUMBER_LIST.fullmatch(token):
                 raise _NotPlain
-            return words[token]
-
-        def anchor(name, value):
-            if name in anchors:
-                raise _NotPlain  # libyaml names the repeated anchor
-            anchors[name] = value
-
-        def mapping(span):
-            """A flow mapping that :data:`_LINE` took.  ``read`` must not call
-            this: a cycle of closures would keep the loader, and libyaml's copy
-            of the text, alive until the collector runs."""
-            data = {}
-            for token, name, value in _FLOW_ITEM.findall(span):
-                key = read(token)
-                if len(token) > 1024 or key in data:  # as in the block loop below
-                    raise _NotPlain
-                data[key] = read(value)
-                if name:
-                    anchor(name, data[key])
-            return data
-
-        lines = _LINE.findall(text)
-        if any(line[5] for line in lines):
-            raise _NotPlain
-        root, stack, pending, deepest = None, [], None, 1  # stack: (column, collection)
-        for indent, dash, key, name, value, _ in lines:
-            if len(key) > 1024:  # libyaml's longest simple key
-                raise _NotPlain
-            if not (dash or key or name or value):
-                continue  # a blank or comment line
-            column = len(indent)
-            if root is None:
-                root = [] if dash else {}
-                stack.append((column, root))
-            elif pending is not None:  # a collection under the key or the item above
-                at, parent = stack[-1]
-                # deeper than its key or item, or a sequence from its key's column
-                if column < at + (not dash or type(parent) is list):
-                    raise _NotPlain  # an empty value
-                parent[pending[0]] = node = [] if dash else {}
-                if pending[1]:
-                    anchor(pending[1], node)
-                stack.append((column, node))
-                deepest = max(deepest, len(stack))
-                pending = None
-            else:  # close what this line's column ends, a sequence at its key's column too
-                while stack and (stack[-1][0] > column or stack[-1][0] == column
-                                 and not dash and type(stack[-1][1]) is list):
-                    stack.pop()
-                if not stack or (stack[-1][0], type(stack[-1][1]) is list) != (column, bool(dash)):
-                    raise _NotPlain
-            node = stack[-1][1]
-            if dash and key:  # a compact mapping starts after the "- "
-                item = {}
-                node.append(item)
-                node = item
-                stack.append((column + len(dash), node))
-                deepest = max(deepest, len(stack))
-            elif dash:
-                if not value:  # the item is on the lines below
-                    node.append(None)
-                    pending = len(node) - 1, name
-                    continue
-                node.append(mapping(value) if value[0] == "{" else read(value))
-                if name:
-                    anchor(name, node[-1])
-                continue
-            elif not key:
-                raise _NotPlain  # a lone scalar or anchor
-            key = read(key)
-            if key in node:
-                raise _NotPlain  # libyaml's walk names the repeated key
-            if not value:
-                pending = key, name
-                continue
-            node[key] = mapping(value) if value[0] == "{" else read(value)
-            if name:
-                anchor(name, node[key])
-        if pending is not None:
-            raise _NotPlain
-        # upper bounds for the text: a flow mapping and the number lists in it
-        # nest at most 5 levels below the deepest line; of its events, 4 are
-        # the stream's and the document's, and 2 each are a collection's, of
-        # which a line opens at most 2; every other "[" or "{", and every
-        # scalar or alias (1 event), takes a character
-        depth = deepest + 5
-        if depth > MAX_NESTING or depth * (6 + 4 * len(lines) + 2 * len(text)) > MAX_NESTING_WORK:
-            _check_nesting(self.text)
-        return root
-
-    def flatten_mapping(self, node):
-        # PyYAML flattens in place, and a node may be flattened again: keep the first pairs
-        self.written.setdefault(node, node.value[:])
-        super().flatten_mapping(node)
-
-    def _construct_map(self, node):
-        """A mapping built in one pass over its own pairs in order, merge keys
-        aside, raising its first problem, a repeated key too; SafeLoader's
-        ``construct_mapping`` rebuilds one with merge keys and rejects other kinds."""
-        data, rebuild = {}, node.id != "mapping"
-        yield data
-        for key_node, value_node in () if rebuild else self.written.get(node, node.value):
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                rebuild = True
-                continue
-            if key_node.tag == "tag:yaml.org,2002:value":  # "=", a str as flatten_mapping has it
-                key_node.tag = "tag:yaml.org,2002:str"
-            key = self.construct_object(key_node)
             try:
-                if key in data:
-                    raise ConstructorError(problem=f"found duplicate key {key!r}",
-                                           problem_mark=key_node.start_mark)
-            except TypeError:
-                raise ConstructorError("while constructing a mapping", node.start_mark,
-                                       "found unhashable key", key_node.start_mark) from None
-            data[key] = self.construct_object(value_node)
-        if rebuild:  # SafeLoader's order: merged pairs first, the mapping's own keys win
-            data.clear()
-            data.update(self.construct_mapping(node))
-
-
-_Loader.add_constructor("tag:yaml.org,2002:map", _Loader._construct_map)
-
-
-def _check_nesting(text: str) -> None:
-    """Reject collections nested deeper than :data:`MAX_NESTING`, or whose
-    nesting work passes :data:`MAX_NESTING_WORK`."""
-    # a level opens at a "{", a "- " or "? " indicator or a line break, or at
-    # a "[", which may open a single-pair mapping inside it too
-    breaks = sum(map(text.count, ("\n", "\r", "\x85", "\u2028", "\u2029")))
-    indicators = text.count("{") + text.count("- ") + text.count("? ")
-    if 2 * text.count("[") + indicators + breaks + 1 <= MAX_NESTING:
-        return
-    depth = work = 0
-    for event in yaml.parse(text, Loader=_Loader):
-        if isinstance(event, (yaml.SequenceStartEvent, yaml.MappingStartEvent)):
-            depth += 1
-        elif isinstance(event, (yaml.SequenceEndEvent, yaml.MappingEndEvent)):
-            depth -= 1
-        work += depth
-        if depth > MAX_NESTING:
-            problem = f"collections nested deeper than {MAX_NESTING} levels"
-        elif work > MAX_NESTING_WORK:
-            problem = f"collections too deep in all: nesting work passes {MAX_NESTING_WORK:,}"
+                return _numbers(token)
+            except ValueError:
+                raise _NotPlain from None
+        if token in words:
+            return words[token]
+        if _DECIMAL.fullmatch(token):  # the int and float SafeLoader builds
+            return float(token) if "." in token else int(token)
+        if first == "*":
+            if token[1:] in anchors:
+                return anchors[token[1:]]
+            raise _NotPlain  # libyaml names the undefined alias
+        if first in "\"'":
+            words[token] = token[1:-1]
+        elif _NOT_STR.match(token):
+            raise _NotPlain  # a bool, a null, or a number that libyaml reads
         else:
+            words[token] = token
+        return words[token]
+
+    def anchor(name, value):
+        if name in anchors:
+            raise _NotPlain  # libyaml names the repeated anchor
+        anchors[name] = value
+
+    def mapping(span):
+        """A flow mapping that :data:`_LINE` took.  ``read`` must not call
+        this: a cycle of closures would keep the words, the anchors and the
+        data read so far alive until the collector runs."""
+        data = {}
+        for token, name, value in _FLOW_ITEM.findall(span):
+            key = read(token)
+            if len(token) > 1024 or key in data:  # as in the block loop below
+                raise _NotPlain
+            data[key] = read(value)
+            if name:
+                anchor(name, data[key])
+        return data
+
+    # libyaml drops a leading byte order mark too
+    lines = _LINE.findall(text.removeprefix("\ufeff"))
+    if any(line[5] for line in lines):
+        raise _NotPlain
+    root, stack, pending, deepest = None, [], None, 1  # stack: (column, collection)
+    for indent, dash, key, name, value, _ in lines:
+        if len(key) > 1024:  # libyaml's longest simple key
+            raise _NotPlain
+        if not (dash or key or name or value):
+            continue  # a blank or comment line
+        column = len(indent)
+        if root is None:
+            root = [] if dash else {}
+            stack.append((column, root))
+        elif pending is not None:  # a collection under the key or the item above
+            at, parent = stack[-1]
+            # deeper than its key or item, or a sequence from its key's column
+            if column < at + (not dash or type(parent) is list):
+                raise _NotPlain  # an empty value
+            parent[pending[0]] = node = [] if dash else {}
+            if pending[1]:
+                anchor(pending[1], node)
+            stack.append((column, node))
+            deepest = max(deepest, len(stack))
+            pending = None
+        else:  # close what this line's column ends, a sequence at its key's column too
+            while stack and (stack[-1][0] > column or stack[-1][0] == column
+                             and not dash and type(stack[-1][1]) is list):
+                stack.pop()
+            if not stack or (stack[-1][0], type(stack[-1][1]) is list) != (column, bool(dash)):
+                raise _NotPlain
+        node = stack[-1][1]
+        if dash and key:  # a compact mapping starts after the "- "
+            item = {}
+            node.append(item)
+            node = item
+            stack.append((column + len(dash), node))
+            deepest = max(deepest, len(stack))
+        elif dash:
+            if not value:  # the item is on the lines below
+                node.append(None)
+                pending = len(node) - 1, name
+                continue
+            node.append(mapping(value) if value[0] == "{" else read(value))
+            if name:
+                anchor(name, node[-1])
             continue
-        mark = event.start_mark
-        raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
+        elif not key:
+            raise _NotPlain  # a lone scalar or anchor
+        key = read(key)
+        if key in node:
+            raise _NotPlain  # libyaml's walk names the repeated key
+        if not value:
+            pending = key, name
+            continue
+        node[key] = mapping(value) if value[0] == "{" else read(value)
+        if name:
+            anchor(name, node[key])
+    if pending is not None:
+        raise _NotPlain
+    # upper bounds for the text: a flow mapping and the number lists in it
+    # nest at most 5 levels below the deepest line; of its events, 4 are
+    # the stream's and the document's, and 2 each are a collection's, of
+    # which a line opens at most 2; every other "[" or "{", and every
+    # scalar or alias (1 event), takes a character
+    depth = deepest + 5
+    if depth > MAX_NESTING or depth * (6 + 4 * len(lines) + 2 * len(text)) > MAX_NESTING_WORK:
+        from . import _libyaml  # PyYAML's parser walks the text
+
+        with _libyaml.syntax_errors():
+            _libyaml._check_nesting(text)
+    return root
 
 
 def _load_yaml(text: str):
+    """The data of a YAML text, read by lines where :func:`_read_lines` takes
+    it, else by libyaml whole; errors are a :class:`ScenarioSyntaxError`."""
     try:
-        return yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        problem = getattr(exc, "problem", None) or "malformed document"
-        if mark is not None:
-            raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1) from exc
-        raise ScenarioSyntaxError(problem) from exc
-    except (ValueError, KeyError, AttributeError, IndexError) as exc:
-        # what PyYAML's scalar constructors raise on a value that does not fit
-        # its tag: "!!int abc", "!!bool maybe", "!!timestamp x", "2001-13-01",
-        # and an empty "!!int" or "!!float" (they read its first character)
+        return _read_lines(text)
+    except _NotPlain:
+        pass
+    except ValueError as exc:  # an integer past int()'s digit limit
         raise ScenarioSyntaxError(f"unreadable scalar: {exc}") from exc
+    from . import _libyaml  # PyYAML's import, paid by the first text off the grammar
+
+    return _libyaml.load(text)
+
+
+def __getattr__(name: str):
+    """``yaml``, PyYAML itself, for tools that reach it through this module
+    (the bench's tracer wraps ``scenario.yaml.safe_load``), imported here so
+    that a document read by lines never imports it."""
+    if name == "yaml":
+        import yaml
+
+        return yaml
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_document(text: str, schema) -> dict:
@@ -742,6 +678,8 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
         data["post_selection"] = doc.post_selection
     if doc.seed is not None:
         data["seed"] = doc.seed
+    import yaml
+
     # no line width: a list on one line is read by lines, without a node composed
     return yaml.safe_dump(data, sort_keys=False, default_flow_style=None, width=math.inf)
 

@@ -15,7 +15,7 @@ from convexop.hermitian import (
     hermitian_basis,
     kraus_matrix,
 )
-from convexop.scenario import _Loader
+from convexop._libyaml import _Loader
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIMS = range(1, 9)

@@ -1,4 +1,4 @@
-"""``scenario._Loader`` reads plain block documents line by line.
+"""``scenario._read_lines`` reads plain block documents line by line.
 
 A block document of mappings and sequences is read without libyaml composing
 a node: comments on their own line or after a space, plain or quoted keys,
@@ -11,10 +11,11 @@ key's column, anchored collections, aliases, flow mappings, comments, blank
 lines, trailing spaces, quoted keys, CRLF, YAML 1.1 words and numbers,
 repeated keys, bad indentation and tags), and each must load as
 ``yaml.SafeLoader`` loads it, one object wherever it has one, or fail with
-the error the loader raises when libyaml reads the text.  Drawn from the
-reader's grammar alone, each must also compose no node; texts just off it
-reach libyaml once, with its data or its error and marks.  Two mutant
-readers must be caught.
+the error ``_libyaml.load`` raises when libyaml reads the text whole.  Drawn
+from the reader's grammar alone, each must also compose no node; texts just
+off it reach libyaml once, with its data or its error and marks.  Two mutant
+readers must be caught.  The words that the reader keeps as strings are
+those ``yaml.SafeLoader``'s resolver tags str.
 
 The Kraus step and the qudit documents are read by lines since the reader
 reads its own number lists; a 4-deep list went to libyaml before.  The
@@ -36,9 +37,9 @@ import pytest
 import yaml
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from test_loader_differential import _alike, composed_nodes, outcome, same
+from test_loader_differential import _alike, composed_nodes, outcome, safe_load, same
 
-from convexop import scenario
+from convexop import _libyaml, scenario
 from convexop.errors import ScenarioSyntaxError
 from convexop.scenario import _load_yaml
 
@@ -48,18 +49,18 @@ from worker import MIXES  # noqa: E402
 
 SCENARIOS = sorted((pathlib.Path(__file__).parent.parent / "scenarios").glob("*.yaml"))
 
-#: Scalars of the reader's grammar, and YAML 1.1 words and numbers that
-#: are not str or not plain decimals (or two words, or a quoted "''"),
-#: which go to libyaml.
-PLAIN = ["a", "x-y", "in", "cells18", "y", "1e5", "0", "7", "-3", "+2", "1.5", "-0.0",
+#: Scalars of the reader's grammar; then words that go to libyaml: YAML 1.1
+#: words and numbers that are not str or not plain decimals, two words, a
+#: quoted "''", and str words that start with a sign, a dot or a digit.
+PLAIN = ["a", "x-y", "in", "cells18", "y", "_1", "0", "7", "-3", "+2", "1.5", "-0.0",
          "2.0e-05", "1.0e+400", '"q"', '""', '"0"', '"a b: #c"', "[]", "[1, 2.5]",
          "[[0.5, -1], 2]", "'s'", "''", "'a \"b\": #c'", "'[1]'", "'{k: *a0}'"]
-WORDS = ["yes", "On", "null", "~", "010", "1_0", ".5", "[010]", "a b", "'it''s'"]
+WORDS = ["yes", "On", "null", "~", "010", "1_0", ".5", "[010]", "a b", "'it''s'", "1e5", "-x"]
 VALUES = st.sampled_from(PLAIN * 5 + WORDS)
 KEYS = st.sampled_from(["k", "m", "name", "-a", '"k"', '"0"', "y", "d", "'q'", "2"] * 5
                        + ["yes", "1", "On"])
 #: Keys of the grammar, each read to a key of its own.
-PLAIN_KEYS = st.sampled_from(["k", "m", "name", "-a", '"n"', '"0"', "y", "'q'", "2", "1.5"])
+PLAIN_KEYS = st.sampled_from(["k", "m", "name", "a-", '"n"', '"0"', "y", "'q'", "2", "1.5"])
 #: Text off the grammar, put in the middle of a document now and then.
 ODD = ["!!str 3", "&x 1", "*x", "!!int 4", "{a: 1,}", "'s''t'", "b#c", "1# c", "? q",
        "&x *x", "{a:1}"]
@@ -194,12 +195,9 @@ def sharing(data, seen=None) -> list:
 
 def reads_like_safe_loader(text: str) -> bool:
     """The data of ``yaml.SafeLoader``, one object where it has one, or the
-    error the loader raises when libyaml reads the text."""
-    got = outcome(text, scenario._Loader)
-    with mock.patch.object(scenario._Loader, "_read_lines", side_effect=scenario._NotPlain):
-        today = outcome(text, scenario._Loader)
-    safe = outcome(text, yaml.SafeLoader)
-    return _alike(got, today) and (
+    error ``_libyaml.load`` raises when libyaml reads the text whole."""
+    got, whole, safe = outcome(text), outcome(text, _libyaml.load), outcome(text, safe_load)
+    return _alike(got, whole) and (
         got[0] == "error" or _alike(got, safe) and sharing(got[1]) == sharing(safe[1]))
 
 
@@ -333,15 +331,22 @@ def test_a_kraus_step_is_read_by_lines_with_the_same_data():
 
 
 def test_a_text_read_by_lines_is_loaded_once():
+    # by the line reader alone: libyaml does not load it again
     text = SCENARIOS[0].read_text(encoding="utf-8")
-    with mock.patch.object(scenario.yaml, "load", wraps=yaml.load) as load:
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
         _load_yaml(text)
+    assert load.call_count == 0
+
+
+def test_a_text_off_the_grammar_is_loaded_once_by_libyaml():
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+        assert _load_yaml("a: !!str 1\nb: [1, 2]\n") == {"a": "1", "b": [1, 2]}
     assert load.call_count == 1
 
 
 def test_a_text_read_by_lines_leaves_no_cycle_for_the_collector():
-    # a cycle of the reader's closures would keep the loader, and libyaml's
-    # copy of the text, alive after the load
+    # a cycle of the reader's closures would keep its words, its anchors and
+    # the data alive after the load
     text = "a: &x [1, 2]\nb: {c: *x, d: 'e'}\nc:\n- {f: 1}\n- g\n"
     gc.collect()
     gc.disable()
@@ -373,16 +378,8 @@ def catches(mutant) -> str:
 
 
 def test_property_catches_a_reader_that_takes_every_word_for_a_string():
-    read = scenario._Loader._read_lines
-
-    def every_word_a_string(self, text):
-        self.resolve = lambda kind, value, implicit: "tag:yaml.org,2002:str"
-        try:
-            return read(self, text)
-        finally:
-            del self.resolve  # libyaml's walk resolves as before
-
-    text = catches(mock.patch.object(scenario._Loader, "_read_lines", every_word_a_string))
+    # libyaml's path resolves as before
+    text = catches(mock.patch.object(scenario, "_NOT_STR", re.compile("(?!)")))
     assert reads_like_safe_loader(text), text
 
 

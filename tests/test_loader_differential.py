@@ -1,14 +1,16 @@
 """The scenario loader reads numbers exactly as ``yaml.SafeLoader`` does.
 
-``scenario._Loader``'s line reader reads plain decimal literals itself, and
-on libyaml's path SafeLoader's constructors read them.  Hypothesis writes
-documents from a grammar of number-like scalars (signs, leading zeros, "_",
-hex, binary, sexagesimal, .inf and .nan, exponents with and without a dot or
-a sign, Unicode digits, 5,000-digit integers, explicit ``!!int``,
-``!!float`` and ``!!str`` tags) and places them in block and flow
-sequences, mapping values and keys, under anchors and aliases.  Each
-document must load to the same data through ``_load_yaml`` with either
-loader, or fail with the same exception and text.
+``scenario._read_lines``, the line reader, reads plain decimal literals
+itself, and on libyaml's path (``convexop._libyaml``) SafeLoader's
+constructors read them.  Hypothesis writes documents from a grammar of
+number-like scalars (signs, leading zeros, "_", hex, binary, sexagesimal,
+.inf and .nan, exponents with and without a dot or a sign, Unicode digits,
+5,000-digit integers, explicit ``!!int``, ``!!float`` and ``!!str`` tags)
+and places them in block and flow sequences, mapping values and keys, under
+anchors and aliases.  Each document must load to the same data through
+``_load_yaml`` as through ``yaml.load(text, Loader=yaml.SafeLoader)`` with
+the same error mapping, or fail with the same exception and text.  No
+reference runs the line reader.
 
 The second half puts one-line number lists, which the line reader reads with
 ``json.loads``, where reading them apart from their text would change what it
@@ -24,7 +26,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexop import scenario
+from convexop import _libyaml, scenario
 
 SIGN = st.sampled_from(["", "-", "+"])
 DIGITS = st.text("0123456789", min_size=1, max_size=5)
@@ -97,29 +99,35 @@ def same(a, b) -> bool:
 def composed_nodes(text: str, load=scenario._load_yaml):
     """``load(text)`` and how many documents libyaml composed for it."""
     calls = []
-    compose = scenario._Loader.get_single_node
+    compose = _libyaml._Loader.get_single_node
 
     def counted(self):
         calls.append(1)
         return compose(self)
 
-    with mock.patch.object(scenario._Loader, "get_single_node", counted):
+    with mock.patch.object(_libyaml._Loader, "get_single_node", counted):
         data = load(text)
     return data, len(calls)
 
 
-def outcome(text: str, loader):
-    """``("data", value)`` from ``_load_yaml`` with ``loader``, or
-    ``("error", text)`` of the exception it raised."""
-    with mock.patch.object(scenario, "_Loader", loader):
-        try:
-            return "data", scenario._load_yaml(text)
-        except Exception as exc:  # compared, whatever it is
-            return "error", f"{type(exc).__name__}: {exc}"
+def safe_load(text: str):
+    """The reference: ``yaml.SafeLoader`` reading the text whole, its errors
+    mapped as ``_load_yaml`` maps them."""
+    with _libyaml.syntax_errors():
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def outcome(text: str, load=scenario._load_yaml):
+    """``("data", value)`` from ``load``, or ``("error", text)`` of the
+    exception it raised."""
+    try:
+        return "data", load(text)
+    except Exception as exc:  # compared, whatever it is
+        return "error", f"{type(exc).__name__}: {exc}"
 
 
 def agrees(text: str) -> bool:
-    (kind, got), (ref_kind, ref) = outcome(text, scenario._Loader), outcome(text, yaml.SafeLoader)
+    (kind, got), (ref_kind, ref) = outcome(text), outcome(text, safe_load)
     return kind == ref_kind and (got == ref if kind == "error" else same(got, ref))
 
 
@@ -146,10 +154,11 @@ def test_loader_reads_listed_texts_like_safe_loader(text):
 # ``json.loads`` in the line reader, or leaves the text to libyaml whole.
 # The lists below are put where a list read apart from its text would change
 # what the text means.  The data must be what ``yaml.SafeLoader`` reads from
-# the text as it stands.  An error must be the
-# one, text and mark, that ``_Loader`` raises on the text as it stands:
-# libyaml words its parser errors otherwise than pure PyYAML ("did not find
-# expected key" for "expected <block end>").
+# the text as it stands.  An error must be the one, text and mark, that
+# ``_libyaml.load`` (a ``CSafeLoader`` that also refuses a repeated key and
+# deep nesting) raises on the text as it stands: libyaml words its parser
+# errors otherwise than pure PyYAML ("did not find expected key" for
+# "expected <block end>").
 
 #: Tokens just outside the numbers YAML 1.1 and JSON read alike.
 OFF_GRAMMAR = ["1.", "+1", "1.0e5", "-0", "1.0e+999", "1" * 5000, "1e5", "1.5E5", "1e+5",
@@ -222,11 +231,9 @@ def _alike(a, b) -> bool:
 
 
 def reads_lists_like_safe_loader(text: str) -> bool:
-    got = outcome(text, scenario._Loader)
-    # the text as it stands: no number list read apart
-    with mock.patch.object(scenario, "_NUMBER_LIST", re.compile("(?!)")):
-        today, safe = outcome(text, scenario._Loader), outcome(text, yaml.SafeLoader)
-    return _alike(got, today) and (got[0] == "error" or _alike(got, safe))
+    # the references read the text as it stands: no number list read apart
+    got, whole, safe = outcome(text), outcome(text, _libyaml.load), outcome(text, safe_load)
+    return _alike(got, whole) and (got[0] == "error" or _alike(got, safe))
 
 
 @settings(max_examples=400, deadline=None)
@@ -236,8 +243,8 @@ def test_number_lists_read_like_safe_loader(text):
 
 
 def test_a_number_list_pattern_that_never_matches_leaves_the_text_to_libyaml():
-    # the reference of reads_lists_like_safe_loader: no list read apart, the
-    # line reader's included
+    # no list read apart: a list the pattern does not take is libyaml's, and
+    # so is the rest of its text
     with mock.patch.object(scenario, "_NUMBER_LIST", re.compile("(?!)")):
         data, composed = composed_nodes("k: [1, 2]\n")
     assert (data, composed) == ({"k": [1, 2]}, 1)

@@ -1,13 +1,13 @@
-"""``scenario._Loader`` builds YAML data as ``yaml.SafeLoader`` builds it.
+"""``scenario._load_yaml`` builds YAML data as ``yaml.SafeLoader`` builds it.
 
 Plain block documents, every bench document and every file of
 ``scenarios/`` among them, are read by the line reader and reach none of
 PyYAML's constructors; the two spy tests pin that.  Any other text is
 composed by libyaml, and SafeLoader's constructors build every node of it:
-the loader only rejects a key repeated in one mapping, in pair order beside
-the mapping's other problems.  The data must stay what ``yaml.SafeLoader``
-builds, aliases, merge keys, other tags and deep nesting included; an alias
-read by lines gives the anchored object itself.
+``_libyaml._Loader`` only rejects a key repeated in one mapping, in pair
+order beside the mapping's other problems.  The data must stay what
+``yaml.SafeLoader`` builds, aliases, merge keys, other tags and deep nesting
+included; an alias read by lines gives the anchored object itself.
 """
 
 import datetime
@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 import yaml
 
-from convexop import scenario
+from convexop import _libyaml
 from convexop.scenario import MAX_NESTING, ScenarioSyntaxError, _load_yaml
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "bench"))
@@ -141,7 +141,7 @@ def test_errors_keep_pyyaml_text(text, problem):
 def test_an_unhashable_key_keeps_pyyaml_context_and_marks():
     text = "a: 1\nb:\n  c: 2\n  [1, 2]: 3\n"
     errors = []
-    for loader in (scenario._Loader, yaml.SafeLoader):
+    for loader in (_libyaml._Loader, yaml.SafeLoader):
         with pytest.raises(yaml.constructor.ConstructorError) as info:
             yaml.load(text, Loader=loader)
         exc = info.value

@@ -1,4 +1,4 @@
-"""When ``scenario._check_nesting`` walks a text, and what it finds.
+"""When ``_libyaml._check_nesting`` walks a text, and what it finds.
 
 The walk (``yaml.parse``, one Python step per event) runs before libyaml
 composes a text, and on a text the line reader has read only when the
@@ -6,7 +6,7 @@ reader's own bound (its deepest stack plus a flow mapping and 4 list levels,
 its line count and the text's length) could pass ``MAX_NESTING`` or
 ``MAX_NESTING_WORK``.  It walks the text as written, at most once per load,
 and libyaml then composes that text once, inside the one ``yaml.load``, so
-the tests count composes (``_Loader.get_single_node`` calls).
+the tests count composes (``_libyaml._Loader.get_single_node`` calls).
 
 The pool test fails at the parent on qudit_measure documents, whose 4-deep
 Kraus lists sent them to libyaml.  The others pin what the parent already
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_loader_differential import composed_nodes
 
-from convexop import scenario
+from convexop import _libyaml, scenario
 from convexop.scenario import MAX_NESTING, ScenarioSyntaxError, _load_yaml, parse_scenario_text
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "bench"))
@@ -43,7 +43,7 @@ def counted(text: str, load=_load_yaml):
         except ScenarioSyntaxError as exc:
             return str(exc)
 
-    with mock.patch.object(scenario.yaml, "parse", wraps=yaml.parse) as parse:
+    with mock.patch.object(_libyaml.yaml, "parse", wraps=yaml.parse) as parse:
         data, composed = composed_nodes(text, read)
     return data, parse.call_count, composed
 
@@ -51,7 +51,7 @@ def counted(text: str, load=_load_yaml):
 def parent_verdict(text: str):
     """The error text of the parent's pre-pass, the walk, on ``text``, or None."""
     try:
-        scenario._check_nesting(text)
+        _libyaml._check_nesting(text)
     except ScenarioSyntaxError as exc:
         return str(exc)
     except yaml.YAMLError as exc:  # as _load_yaml words it
@@ -105,8 +105,8 @@ def test_a_text_the_parent_refused_is_refused_alike_after_one_walk(text):
 def test_a_block_document_past_the_bound_is_walked_after_it_is_read():
     # one mapping per line, each a column deeper: the line reader reads it
     text = "".join(" " * i + "a:\n" for i in range(MAX_NESTING + 1)) + " " * (MAX_NESTING + 1) + "a: 1\n"
-    with mock.patch.object(scenario, "_check_nesting", wraps=scenario._check_nesting) as check, \
-            mock.patch.object(scenario._Loader, "get_single_node") as compose:
+    with mock.patch.object(_libyaml, "_check_nesting", wraps=_libyaml._check_nesting) as check, \
+            mock.patch.object(_libyaml._Loader, "get_single_node") as compose:
         error, walks, _ = counted(text)
     assert error == parent_verdict(text) == (
         f"collections nested deeper than {MAX_NESTING} levels "
