@@ -79,10 +79,15 @@ def _check_nesting(text: str) -> None:
     or whose nesting work passes :data:`~convexop.scenario.MAX_NESTING_WORK`."""
     limit, budget = scenario.MAX_NESTING, scenario.MAX_NESTING_WORK
     # a level opens at a "{", a "- " or "? " indicator or a line break, or at
-    # a "[", which may open a single-pair mapping inside it too
+    # a "[", which may open a single-pair mapping inside it too; so the count
+    # bounds the collections as well as the depth, and of the events 4 are
+    # the stream's and the document's, 2 each are a collection's, and every
+    # scalar or alias (an empty key and value may share one ":") and every
+    # further document takes a character, two events at most
     breaks = sum(map(text.count, ("\n", "\r", "\x85", "\u2028", "\u2029")))
     indicators = text.count("{") + text.count("- ") + text.count("? ")
-    if 2 * text.count("[") + indicators + breaks + 1 <= limit:
+    levels = 2 * text.count("[") + indicators + breaks + 1
+    if levels <= limit and levels * (6 + 2 * levels + 2 * len(text)) <= budget:
         return
     depth = work = 0
     for event in yaml.parse(text, Loader=_Loader):

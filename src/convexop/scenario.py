@@ -1008,8 +1008,8 @@ class RunReport:
     """Plain serializable run result; see :func:`render_report`.
 
     ``per_step`` holds one row per step, and the steps that share a
-    :class:`StepRecord`, such as every evolve step, share one row dict: do not
-    mutate the rows.
+    :class:`StepRecord`, such as every evolve step, share one row dict, which
+    :func:`render_json` renders once per list: do not mutate the rows.
     """
 
     probability: float
@@ -1089,8 +1089,8 @@ def _format_real(x: float) -> str:
     return format(x, ".17g")
 
 
-#: The text of a scalar of each exact type; :func:`_render_scalar` takes a
-#: subclass, such as numpy's, by the type it extends.
+#: The text of a scalar of each exact type; :func:`_render` takes a subclass,
+#: such as numpy's, by the type it extends.
 _SCALAR_TEXT = {
     type(None): lambda value: "null",
     bool: lambda value: "true" if value else "false",
@@ -1100,10 +1100,43 @@ _SCALAR_TEXT = {
 }
 
 
-def _render_scalar(value) -> str:
+def _is_scalar(value) -> bool:
+    return value is None or isinstance(value, (bool, int, float, str, np.integer))
+
+
+def _render(value, indent: int) -> str:
+    """``value`` laid out at ``indent``."""
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         return text(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = " " * indent
+        lines = []
+        for k, v in value.items():
+            text = _SCALAR_TEXT.get(type(v))
+            text = text(v) if text is not None else _render(v, indent + 2)
+            lines.append(f"{pad}  {_json_string(str(k))}: {text}")
+        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if type(value[0]) is float and {*map(type, value)} == {float}:  # one C-level format
+            text = "[" + ("%.17g, " * len(value))[:-2] % tuple(value) + "]"
+            # only "inf" and "nan" hold an "n", and "-0" stands alone only for -0.0
+            if not ("n" in text or "-0," in text or "-0]" in text):
+                return text
+        if all(map(_is_scalar, value)) or all(
+            isinstance(v, (list, tuple)) and all(map(_is_scalar, v)) for v in value
+        ):
+            return "[" + ", ".join(_render(v, indent) for v in value) + "]"
+        pad = " " * indent
+        seen = {}  # the text of each item by its id: the list holds the item
+        for v in value:
+            if id(v) not in seen:
+                seen[id(v)] = _render(v, indent + 2)
+        return "[\n" + ",\n".join(f"{pad}  {seen[id(v)]}" for v in value) + "\n" + pad + "]"
     if isinstance(value, float):
         return _format_real(value)
     if isinstance(value, (int, np.integer)):
@@ -1113,72 +1146,11 @@ def _render_scalar(value) -> str:
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
-def _is_scalar(value) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str, np.integer))
-
-
-def _render(value, indent: int, rows: dict, keys: dict) -> str:
-    """``value`` laid out at ``indent``.  ``rows`` holds the text of each
-    mapping rendered so far, keyed by the indent and the mapping's ``id``: the
-    whole value holds every mapping in it until the call returns, so an ``id``
-    names one object throughout.  ``keys`` holds the text of each str key."""
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, dict):
-        row = (indent, id(value))
-        text = rows.get(row)
-        if text is None:
-            text = rows[row] = _render_mapping(value, indent, rows, keys)
-        return text
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if type(items[0]) is float and {*map(type, items)} == {float}:  # one C-level format
-            text = "[" + ("%.17g, " * len(items))[:-2] % tuple(items) + "]"
-            # only "inf" and "nan" hold an "n", and "-0" stands alone only for -0.0
-            if not ("n" in text or "-0," in text or "-0]" in text):
-                return text
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(_render_scalar(v) for v in items) + "]"
-        if all(
-            isinstance(v, (list, tuple)) and all(_is_scalar(e) for e in v)
-            for v in items
-        ):
-            inner_rows = ", ".join(
-                "[" + ", ".join(_render_scalar(e) for e in v) + "]" for v in items
-            )
-            return "[" + inner_rows + "]"
-        pad = " " * indent
-        lines = ",\n".join(f"{pad}  {_render(v, indent + 2, rows, keys)}" for v in items)
-        return "[\n" + lines + "\n" + pad + "]"
-    return _render_scalar(value)
-
-
-def _render_mapping(value: dict, indent: int, rows: dict, keys: dict) -> str:
-    if not value:
-        return "{}"
-    pad = " " * indent
-    lines = []
-    for k, v in value.items():
-        if type(k) is str:  # not 1, 1.0 or True, which hash alike
-            key = keys.get(k)
-            if key is None:
-                key = keys[k] = _json_string(k)
-        else:
-            key = _json_string(str(k))
-        text = _SCALAR_TEXT.get(type(v))
-        text = text(v) if text is not None else _render(v, indent + 2, rows, keys)
-        lines.append(f"{pad}  {key}: {text}")
-    return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
-
-
 def render_json(value) -> str:
     """Canonical report text: fixed layout, reals at 17 significant digits.
-    A mapping that appears more than once, such as the row that every evolve
-    step of a report shares, is rendered once per call at each indent."""
-    return _render(value, 0, {}, {}) + "\n"
+    An item that a list holds more than once, such as the row that every
+    evolve step of a report shares, is rendered once per list."""
+    return _render(value, 0) + "\n"
 
 
 def render_report(report: RunReport) -> str:

@@ -51,8 +51,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-CONE_KINDS = ("componentwise", "psd", "product")
-
 
 def scaled_tol(tol: float, coords: np.ndarray) -> float:
     """Tolerance scaled by the max-norm of ``coords``, floored at ``tol``.

@@ -14,6 +14,7 @@ did: the same errors and marks after one walk, and no second compose.
 """
 
 import pathlib
+import subprocess
 import sys
 from unittest import mock
 
@@ -100,6 +101,28 @@ def test_a_text_the_parent_refused_is_refused_alike_after_one_walk(text):
     error, walks, _ = counted(text)
     assert error == parent_verdict(text) is not None
     assert walks == 1
+
+
+# 2,000 levels, under MAX_NESTING, but 30,000 scalars at that depth: the
+# nesting work is 64,034,002, and a count of levels alone let it through
+WIDE_AND_DEEP = "a: " + "[" * 2000 + ", ".join(["0"] * 30000) + "]" * 2000 + "\n"
+WIDE_AND_DEEP_ERROR = ("collections too deep in all: nesting work passes 50,000,000 "
+                       "(line 1, column 73962)")
+
+
+def test_nesting_work_is_checked_below_the_depth_limit():
+    error, walks, composed = counted(WIDE_AND_DEEP)
+    assert error == WIDE_AND_DEEP_ERROR
+    assert (walks, composed) == (1, 0)
+
+
+def test_nesting_work_past_the_limit_exits_2_through_the_cli(tmp_path):
+    path = tmp_path / "wide_and_deep.yaml"
+    path.write_text(WIDE_AND_DEEP, encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "convexop", "run", str(path)],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {WIDE_AND_DEEP_ERROR}\n"
 
 
 def test_a_block_document_past_the_bound_is_walked_after_it_is_read():
