@@ -25,20 +25,15 @@ class _Loader(_SAFE_LOADER):
     """Safe YAML loading, through libyaml where PyYAML has it, that rejects
     a key repeated in one mapping instead of keeping its last value.
 
-    The text is walked by :func:`_check_nesting` before libyaml composes it.
-    SafeLoader's constructors build every node, filling collections from
-    PyYAML's queue, so nesting costs no recursion; :meth:`_construct_map`
-    rejects a repeated key.
+    :func:`load` walks the text with :func:`_check_nesting` before libyaml
+    composes it.  SafeLoader's constructors build every node, filling
+    collections from PyYAML's queue, so nesting costs no recursion;
+    :meth:`_construct_map` rejects a repeated key.
     """
 
     def __init__(self, stream):
         super().__init__(stream)
-        self.text = stream
         self.written = {}  # each mapping node's pairs before a merge flattened it
-
-    def get_single_data(self):
-        _check_nesting(self.text)  # before libyaml composes the text
-        return super().get_single_data()
 
     def flatten_mapping(self, node):
         # PyYAML flattens in place, and a node may be flattened again: keep the first pairs
@@ -127,4 +122,5 @@ def syntax_errors():
 def load(text: str):
     """The data of ``text`` as libyaml reads it whole, or a ScenarioSyntaxError."""
     with syntax_errors():
+        _check_nesting(text)  # before libyaml composes the text
         return yaml.load(text, Loader=_Loader)

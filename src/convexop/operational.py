@@ -164,13 +164,10 @@ def order_unit_defect(op: OperationMap, tol: float = DEFAULT_TOL) -> tuple:
     Returns the largest entry of ``|M^T g - g|`` for ``g = weights * unit``
     (the metric applied to the unit), the matrix form of requiring the
     pairing with ``e`` to be preserved on every element, and the scaled
-    tolerance it is judged against.  The space keeps ``g`` and its scale.
+    tolerance it is judged against.  The space keeps ``g``.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    space = op.space
-    g = space._unit_weights
-    return float(np.abs(_act(op, g, transpose=True) - g).max()), tol * space._unit_weights_scale
+    g = op.space._unit_weights
+    return float(np.abs(_act(op, g, transpose=True) - g).max()), scaled_tol(tol, g)
 
 
 def is_nonselective(op: OperationMap) -> bool:
@@ -323,9 +320,10 @@ def predict(b: Element, spec: MeasurementSpec, outcome: str) -> float:
 def update_state(b: Element, m_a: OperationMap) -> Element:
     """Renormalized state after a selective operation fired."""
     image = apply_operation(m_a, b)
+    weight = unit_pairing(image)
     return _condition(
-        b, image, unit_pairing(image), DEFAULT_TOL,
-        "cannot condition on an outcome of probability zero",
+        b, image, weight, DEFAULT_TOL,
+        "cannot condition on an outcome: its probability is %.6e", weight,
     )
 
 
@@ -399,7 +397,7 @@ class EvolutionGroup:
             if not np.isfinite(g).all():  # no finite scale to judge a drift by
                 raise InvalidEvolutionError("the measure times the order unit is not finite")
             drift = float(np.abs(g[perm] - g).max())
-            if not drift <= 1e-12 * self.space._unit_weights_scale:
+            if not drift <= scaled_tol(1e-12, g):
                 raise InvalidEvolutionError("permutation does not preserve the measure")
             perm.setflags(write=False)
             object.__setattr__(self, "permutation", perm)

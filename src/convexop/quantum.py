@@ -233,16 +233,6 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
     ``d**2 x d**2`` Hermitian block matrix, and the map is completely
     positive exactly when that matrix is positive semidefinite.
     """
-    choi, is_cp, min_eig = _choi_verdict(op, tol)
-    # copied once the eigensolver has freed its own copy, whose memory the
-    # report's matrix then takes over
-    return ChoiReport(choi.copy(), is_cp, min_eig)
-
-
-def _choi_verdict(op: OperationMap, tol: float) -> tuple:
-    """``(choi, is_cp, min_eigenvalue)`` of :func:`choi_cp_check`, with the
-    Choi matrix left in the thread's workspace, where the next kernel call
-    overwrites it."""
     _require_psd_space(op.space)
     choi = choi_scratch(op.matrix)
     try:
@@ -251,7 +241,9 @@ def _choi_verdict(op: OperationMap, tol: float) -> tuple:
         # the inf and NaN entries of a map that overflowed: not certified
         spectrum = np.array([np.nan])
     min_eig = float(spectrum.min())
-    return choi, margin_passes(min_eig, spectrum, tol), min_eig
+    # copied out of the thread's workspace once the eigensolver has freed
+    # its own copy, whose memory the report's matrix then takes over
+    return ChoiReport(choi.copy(), margin_passes(min_eig, spectrum, tol), min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +337,7 @@ def luders(b: Element, p_k: np.ndarray) -> Element:
     weight = float(np.real(np.einsum("ij,ji->", p_k, mat)))
     if not pairing_passes(weight, b.coords, DEFAULT_TOL):
         raise ZeroProbabilityError(
-            "cannot condition on a projector of probability zero"
+            f"cannot condition on a projector: its probability is {weight:.6e}"
         )
     return Element(b.space, np.real(complex_coords((p_k @ mat @ p_k) / weight)))
 
@@ -363,7 +355,7 @@ def luders_pure(psi, p_k: np.ndarray) -> StateVector:
     weight = float(np.real(np.vdot(image, image)))
     if not pairing_passes(weight, amps, DEFAULT_TOL):
         raise ZeroProbabilityError(
-            "cannot condition on a projector of probability zero"
+            f"cannot condition on a projector: its probability is {weight:.6e}"
         )
     image = image / np.sqrt(weight)
     lead = image[int(np.argmax(np.abs(image)))]

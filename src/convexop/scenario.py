@@ -75,7 +75,7 @@ from .operational import (
 )
 from .quantum import (
     KrausSet,
-    _choi_verdict,
+    choi_cp_check,
     from_matrix,
     hamiltonian_evolution,
     kraus_operation,
@@ -590,11 +590,14 @@ def _read_lines(text: str):
         raise _NotPlain
     # upper bounds for the text: a flow mapping and the number lists in it
     # nest at most 5 levels below the deepest line; of its events, 4 are
-    # the stream's and the document's, and 2 each are a collection's, of
-    # which a line opens at most 2; every other "[" or "{", and every
-    # scalar or alias (1 event), takes a character
+    # the stream's and the document's, a line opens at most 2 collections
+    # (2 events each) and holds at most a key and a value, a "[" or "{"
+    # brings its 2 events and its first 2 entries, and each "," at most a
+    # pair; so the work grows with the commas, not with the digits
     depth = deepest + 5
-    if depth > MAX_NESTING or depth * (6 + 4 * len(lines) + 2 * len(text)) > MAX_NESTING_WORK:
+    events = (4 + 6 * len(lines) + 4 * (text.count("[") + text.count("{"))
+              + 2 * text.count(","))
+    if depth > MAX_NESTING or depth * events > MAX_NESTING_WORK:
         from . import _libyaml  # PyYAML's parser walks the text
 
         with _libyaml.syntax_errors():
@@ -988,7 +991,7 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
             # the outcomes in order, then the parent: the goldens pin this order
             for label, op in (*spec.outcomes.items(), ("parent", spec.parent)):
                 if op not in verdicts:
-                    verdicts[op] = _choi_verdict(op, tol)[1:]
+                    verdicts[op] = choi_cp_check(op, tol)[1:]
                 is_cp, min_eig = verdicts[op]
                 checks.append(CheckResult(
                     "complete_positivity", f"{spec.name}:{label}", is_cp,

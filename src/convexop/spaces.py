@@ -196,12 +196,6 @@ class ModelSpace:
         g.setflags(write=False)
         return g
 
-    @cached_property
-    def _unit_weights_scale(self) -> float:
-        """``scaled_tol(1.0, g)``: a tolerance ``tol`` at the scale of ``g`` is
-        ``tol`` times it."""
-        return scaled_tol(1.0, self._unit_weights)
-
     def with_id(self, space_id: str) -> "ModelSpace":
         """Copy of this space under a new identifier (a relabeled time slice)."""
         return ModelSpace(
@@ -371,7 +365,7 @@ def normalize_state(b: Element, tol: float = DEFAULT_TOL) -> Element:
     total = unit_pairing(b)
     if not pairing_passes(total, b.coords, tol):
         raise ZeroStateError(
-            "cannot normalize: pairing with the order unit is not positive"
+            f"cannot normalize: the pairing with the order unit is {total:.6e}"
         )
     return Element._taking(b.space, b.coords / total)
 

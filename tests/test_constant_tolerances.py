@@ -195,14 +195,14 @@ def _named_alias_document(names: int = 19, d: int = 16) -> str:
 
 def test_named_aliases_build_their_maps_once(monkeypatch):
     kraus_calls, choi_calls = [], []
-    kraus_matrix, choi_verdict = quantum.kraus_matrix, scenario._choi_verdict
+    kraus_matrix, choi_cp_check = quantum.kraus_matrix, scenario.choi_cp_check
     monkeypatch.setattr(
         quantum, "kraus_matrix", lambda ops: kraus_calls.append(1) or kraus_matrix(ops)
     )
-    # validation asks choi_cp_check's verdict helper, which keeps no Choi matrix
+    # validation calls choi_cp_check and keeps its verdict, never a Choi matrix
     monkeypatch.setattr(
-        scenario, "_choi_verdict",
-        lambda op, tol: choi_calls.append(op) or choi_verdict(op, tol),
+        scenario, "choi_cp_check",
+        lambda op, tol: choi_calls.append(op) or choi_cp_check(op, tol),
     )
     bound = bind_scenario(parse_scenario_text(_named_alias_document()))
     checks = validate_scenario(bound)

@@ -84,6 +84,16 @@ def test_the_20000_step_document_is_not_walked():
     assert len(data["steps"]) == 20000
 
 
+def test_the_30000_point_document_is_not_walked():
+    # 3.4 MB of number lists: a bound that counted characters could not rule
+    # the walk out, and one that counts commas and brackets does
+    doc = docs.classical_cells_doc(np.random.default_rng(0), 30000)
+    assert len(doc.text) > 3_000_000
+    data, walks, composed = counted(doc.text)
+    assert (walks, composed) == (0, 0)
+    assert len(data["model"]["mu"]) == data["model"]["n"] == 30000
+
+
 DEEP_TEXTS = [
     DEEP_EXTRA,
     "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1),

@@ -95,6 +95,13 @@ def test_a_nan_is_refused_where_it_would_divide(name):
         call()
 
 
+@pytest.mark.parametrize("name", ["normalize_state", "update_state", "luders", "luders_pure"])
+def test_a_refused_nan_pairing_is_named_in_the_message(name):
+    error, call = NAN_CASES[name]
+    with pytest.raises(error, match=r" is nan$"):
+        call()
+
+
 def test_a_nan_outcome_map_is_a_completeness_defect():
     spec = MeasurementSpec(
         "m",

@@ -1,10 +1,10 @@
-"""Rows that repeat in a report are rendered once per call, with their own text.
+"""Rows that repeat in a report are rendered once per list, with their own text.
 
-``render_json`` keeps the text of each mapping it has rendered, keyed by the
-indent and the mapping's ``id``, and a report's rows of one shared record are
-one object.  ``1``, ``1.0``, ``True``, ``"1"`` and ``np.int64(1)`` compare or
-hash alike in places, and rows holding them must still each get their own
-text.
+``render_json`` keeps, for the length of one list, the text of each item it
+has rendered, keyed by the item's ``id``, and a report's rows of one shared
+record are one object.  ``1``, ``1.0``, ``True``, ``"1"`` and ``np.int64(1)``
+compare or hash alike in places, and rows holding them must still each get
+their own text.
 """
 
 import hashlib
