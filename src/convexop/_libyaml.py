@@ -4,10 +4,12 @@ to read a document.
 :mod:`convexop.scenario` reads a plain block document line by line without
 PyYAML, and imports this module on the first text that its line reader
 leaves, or when that reader's nesting bound could pass the limits.  Here
-libyaml (where PyYAML has it) reads the text whole, once, after
-:func:`_check_nesting` has walked it, and SafeLoader's constructors build
-every node; :class:`_Loader` adds only a check that no mapping repeats a key.
-:func:`syntax_errors` words PyYAML's errors as a :class:`ScenarioSyntaxError`.
+:func:`_check_nesting` walks every text before libyaml (where PyYAML has it)
+composes it whole, once, and SafeLoader's constructors build every node;
+:class:`_Loader` adds only a check that no mapping repeats a key.  A parser
+error that the walk meets is left to that compose, so a text's first error is
+libyaml's own, whatever the text's size.  :func:`syntax_errors` words PyYAML's
+errors as a :class:`ScenarioSyntaxError`.
 """
 
 from contextlib import contextmanager
@@ -71,34 +73,30 @@ _Loader.add_constructor("tag:yaml.org,2002:map", _Loader._construct_map)
 
 def _check_nesting(text: str) -> None:
     """Reject collections nested deeper than :data:`~convexop.scenario.MAX_NESTING`,
-    or whose nesting work passes :data:`~convexop.scenario.MAX_NESTING_WORK`."""
+    or whose nesting work passes :data:`~convexop.scenario.MAX_NESTING_WORK`.
+
+    The walk stops at the text's first YAML error without raising it: every
+    event before it is checked, and :func:`load`'s compose, which stops at or
+    before that error, reports it as libyaml alone would."""
     limit, budget = scenario.MAX_NESTING, scenario.MAX_NESTING_WORK
-    # a level opens at a "{", a "- " or "? " indicator or a line break, or at
-    # a "[", which may open a single-pair mapping inside it too; so the count
-    # bounds the collections as well as the depth, and of the events 4 are
-    # the stream's and the document's, 2 each are a collection's, and every
-    # scalar or alias (an empty key and value may share one ":") and every
-    # further document takes a character, two events at most
-    breaks = sum(map(text.count, ("\n", "\r", "\x85", "\u2028", "\u2029")))
-    indicators = text.count("{") + text.count("- ") + text.count("? ")
-    levels = 2 * text.count("[") + indicators + breaks + 1
-    if levels <= limit and levels * (6 + 2 * levels + 2 * len(text)) <= budget:
-        return
     depth = work = 0
-    for event in yaml.parse(text, Loader=_Loader):
-        if isinstance(event, (yaml.SequenceStartEvent, yaml.MappingStartEvent)):
-            depth += 1
-        elif isinstance(event, (yaml.SequenceEndEvent, yaml.MappingEndEvent)):
-            depth -= 1
-        work += depth
-        if depth > limit:
-            problem = f"collections nested deeper than {limit} levels"
-        elif work > budget:
-            problem = f"collections too deep in all: nesting work passes {budget:,}"
-        else:
-            continue
-        mark = event.start_mark
-        raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
+    try:
+        for event in yaml.parse(text, Loader=_Loader):
+            if isinstance(event, (yaml.SequenceStartEvent, yaml.MappingStartEvent)):
+                depth += 1
+            elif isinstance(event, (yaml.SequenceEndEvent, yaml.MappingEndEvent)):
+                depth -= 1
+            work += depth
+            if depth > limit:
+                problem = f"collections nested deeper than {limit} levels"
+            elif work > budget:
+                problem = f"collections too deep in all: nesting work passes {budget:,}"
+            else:
+                continue
+            mark = event.start_mark
+            raise ScenarioSyntaxError(problem, mark.line + 1, mark.column + 1)
+    except yaml.YAMLError:
+        pass
 
 
 @contextmanager
@@ -121,6 +119,6 @@ def syntax_errors():
 
 def load(text: str):
     """The data of ``text`` as libyaml reads it whole, or a ScenarioSyntaxError."""
+    _check_nesting(text)  # before libyaml composes the text
     with syntax_errors():
-        _check_nesting(text)  # before libyaml composes the text
         return yaml.load(text, Loader=_Loader)

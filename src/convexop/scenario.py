@@ -600,8 +600,7 @@ def _read_lines(text: str):
     if depth > MAX_NESTING or depth * events > MAX_NESTING_WORK:
         from . import _libyaml  # PyYAML's parser walks the text
 
-        with _libyaml.syntax_errors():
-            _libyaml._check_nesting(text)
+        _libyaml._check_nesting(text)
     return root
 
 

@@ -103,8 +103,9 @@ class ModelSpace:
     ``O(dim)``; :attr:`metric` is their diagonal matrix, built when read.
     It holds no :class:`Element`: ``<e, b>`` is ``unit . (weights * b)``,
     :func:`inner`'s arithmetic, as ``g . b`` for the cached ``g = weights *
-    unit`` may round otherwise (BLAS fuses multiply-adds).  ``g`` and its
-    tolerance scale are computed once, on first use, and kept read-only.
+    unit`` may round otherwise (BLAS fuses multiply-adds).  ``g``
+    (:attr:`_unit_weights`) is computed once, on first use, and kept
+    read-only.
     """
 
     space_id: str

@@ -8,8 +8,15 @@ messages, so that a reworded or reordered check shows here.
 import numpy as np
 import pytest
 
-from convexop.classical import PhaseSpace, make_classical_space
-from convexop.errors import InvalidEvolutionError, SpaceMismatchError, UnsupportedSpaceError
+from convexop.classical import PhaseSpace, indicator_measurement, make_classical_space
+from convexop.errors import (
+    IncompatibleBoundaryError,
+    InvalidEvolutionError,
+    SpaceMismatchError,
+    UnsupportedSpaceError,
+)
+from convexop.hermitian import hermitian_basis
+from convexop.lattice import OrderRelation
 from convexop.operational import (
     EvolutionGroup,
     MeasurementSpec,
@@ -18,23 +25,36 @@ from convexop.operational import (
     measurement_defects,
     order_unit_defect,
 )
+from convexop.probes import (
+    ProbeFunctional,
+    boundary_space,
+    completeness_check,
+    compose,
+    pair,
+    probe_to_map,
+)
 from convexop.quantum import (
     KrausSet,
     ObservableDecomposition,
     StateVector,
     _require_psd_space,
     apply_kraus,
+    born_pure,
     from_matrix,
     kraus_operation,
     make_quantum_space,
     spectral_measurement,
     unitary_operation,
 )
-from convexop.spaces import ModelSpace, scaled_tol
+from convexop.scenario import render_json
+from convexop.spaces import Element, ModelSpace, product_space, sample_cone, scaled_tol
 
 QUBIT = make_quantum_space(2)
 LINE = make_classical_space(PhaseSpace(2, [1.0, 1.0]))
+HEAVY = make_classical_space(PhaseSpace(2, [1.0, 2.0]))  # LINE's id, another measure
 EYE3 = np.eye(3)
+ON_LINE = ProbeFunctional((LINE,), [1.0, 1.0])
+ON_LINE_QUBIT = ProbeFunctional((LINE, QUBIT), np.zeros(8))
 
 GUARDS = [
     pytest.param(
@@ -112,6 +132,80 @@ GUARDS = [
     pytest.param(
         lambda: order_unit_defect(identity_operation(LINE), -1.0),
         ValueError, "tolerance must be nonnegative", id="order-unit-defect-negative"),
+    pytest.param(
+        lambda: PhaseSpace(0, []),
+        ValueError, "phase space needs at least one point", id="phase-space-empty"),
+    pytest.param(
+        lambda: PhaseSpace(2, [1.0]),
+        SpaceMismatchError, "measure length (1,) does not match 2 points",
+        id="phase-space-measure-length"),
+    pytest.param(
+        lambda: indicator_measurement(QUBIT, [0]),
+        UnsupportedSpaceError, "indicator measurements need a classical space",
+        id="indicator-on-psd"),
+    pytest.param(
+        lambda: hermitian_basis(0),
+        ValueError, "matrix dimension must be positive", id="hermitian-basis-empty"),
+    pytest.param(
+        lambda: OrderRelation("bogus"),
+        ValueError, "unknown verdict 'bogus'", id="order-relation-verdict"),
+    pytest.param(
+        lambda: OperationMap(LINE, EYE3),
+        SpaceMismatchError,
+        "operation matrix shape (3, 3) does not fit space 'classical' of dimension 2",
+        id="operation-map-shape"),
+    pytest.param(
+        lambda: OperationMap(LINE, np.eye(2), "x"),
+        ValueError, "unknown selectivity 'x'", id="operation-map-selectivity"),
+    pytest.param(
+        lambda: MeasurementSpec("m", {0: OperationMap(LINE, np.eye(2))}),
+        TypeError, "outcome labels must be strings", id="measurement-label-not-str"),
+    pytest.param(
+        lambda: sample_cone(product_space(LINE, QUBIT), np.random.default_rng(0)),
+        UnsupportedSpaceError, "cone sampling is only defined for componentwise and psd spaces",
+        id="sample-cone-product"),
+    pytest.param(
+        lambda: ProbeFunctional((), []),
+        IncompatibleBoundaryError, "a probe needs at least one boundary factor",
+        id="probe-empty-boundary"),
+    pytest.param(
+        lambda: ProbeFunctional((LINE, "x"), [1.0, 1.0]),
+        TypeError, "boundary factors must be ModelSpace values", id="probe-factor-not-space"),
+    pytest.param(
+        lambda: ProbeFunctional((LINE,), [1.0, 1.0, 1.0]),
+        SpaceMismatchError, "coefficient length (3,) does not match boundary dimension 2",
+        id="probe-coefficient-length"),
+    pytest.param(
+        lambda: boundary_space(()),
+        IncompatibleBoundaryError, "empty boundary has no product space",
+        id="boundary-space-empty"),
+    pytest.param(
+        lambda: pair(ON_LINE, Element(QUBIT, np.zeros(4))),
+        SpaceMismatchError, "boundary condition has dimension 4, probe expects 2",
+        id="pair-dimension"),
+    pytest.param(
+        lambda: completeness_check([ProbeFunctional((QUBIT,), np.zeros(4))], ON_LINE),
+        SpaceMismatchError, "all probes must share one boundary",
+        id="completeness-boundaries-differ"),
+    pytest.param(
+        lambda: compose(ON_LINE, ProbeFunctional((HEAVY,), [1.0, 1.0]), "classical"),
+        SpaceMismatchError, "shared factor 'classical' differs structurally between the probes",
+        id="compose-shared-structure"),
+    pytest.param(
+        lambda: compose(ON_LINE_QUBIT, ON_LINE_QUBIT, "classical", basis=EYE3),
+        SpaceMismatchError, "basis shape (3, 3) does not fit the shared dimension 2",
+        id="compose-basis-shape"),
+    pytest.param(
+        lambda: probe_to_map(ON_LINE),
+        IncompatibleBoundaryError, "map form needs a two-factor boundary, got 1 factors",
+        id="probe-to-map-one-factor"),
+    pytest.param(
+        lambda: probe_to_map(ON_LINE_QUBIT),
+        IncompatibleBoundaryError, "map form needs both boundary factors over the same space",
+        id="probe-to-map-mixed-spaces"),
+    pytest.param(
+        lambda: render_json(object()),
+        TypeError, "cannot render object in a report", id="render-json-object"),
 ]
 
 
@@ -127,3 +221,20 @@ def test_measurement_defects_names_a_parent_that_moves_the_unit_pairing():
     assert measurement_defects(spec) == [
         "parent of 'half' does not preserve the order-unit pairing"
     ]
+
+
+def test_completeness_check_of_no_outcomes_is_false():
+    assert completeness_check([], ON_LINE) is False
+
+
+def test_born_pure_reads_state_vectors_as_their_amplitudes():
+    psi, eta = [1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]
+    assert born_pure(StateVector(2, psi), StateVector(2, eta)) == born_pure(psi, eta)
+    assert born_pure(psi, eta) == pytest.approx(0.5)
+
+
+def test_render_json_renders_a_str_subclass_as_a_string():
+    class Label(str):
+        pass
+
+    assert render_json(Label("x")) == '"x"\n'

@@ -1,12 +1,15 @@
 """Scenario documents: schema, binding, validation, execution, rendering."""
 
+import dataclasses
 import pathlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from test_loader_differential import composed_nodes
 
+from convexop import _libyaml
 from convexop.errors import (
     ScenarioSchemaError,
     ScenarioSyntaxError,
@@ -70,6 +73,17 @@ def test_a_serialized_document_is_read_by_lines():
         text = serialize_scenario(doc)
         assert composed_nodes(text, parse_scenario_text) == (doc, 0)
     assert "outcome: '1'" in serialize_scenario(parse_scenario_text(zx))
+
+
+def test_post_selection_and_seed_round_trip_by_lines():
+    source = (ROOT / "scenarios" / "postselect.yaml").read_text(encoding="utf-8")
+    doc = dataclasses.replace(parse_scenario_text(source), seed=7)
+    text = serialize_scenario(doc)
+    with mock.patch.object(_libyaml, "load", side_effect=AssertionError("read by libyaml")):
+        again = parse_scenario_text(text)
+    assert again == doc
+    assert again.post_selection is not None and again.seed == 7
+    assert render_report(run_scenario(again)) == render_report(run_scenario(doc))
 
 
 def test_syntax_error_carries_position():
