@@ -41,6 +41,7 @@ import math
 import re
 import reprlib
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, filterfalse
@@ -560,32 +561,25 @@ def _read_lines(text: str):
             if not stack or (stack[-1][0], type(stack[-1][1]) is list) != (column, bool(dash)):
                 raise _NotPlain
         node = stack[-1][1]
-        if dash and key:  # a compact mapping starts after the "- "
-            item = {}
-            node.append(item)
-            node = item
-            stack.append((column + len(dash), node))
-            deepest = max(deepest, len(stack))
-        elif dash:
-            if not value:  # the item is on the lines below
-                node.append(None)
-                pending = len(node) - 1, name
-                continue
-            node.append(mapping(value) if value[0] == "{" else read(value))
-            if name:
-                anchor(name, node[-1])
-            continue
+        if dash:  # the item is the slot, or holds the compact mapping after the "- "
+            node.append(None)
+            slot = len(node) - 1
+            if key:
+                node[slot] = node = {}
+                stack.append((column + len(dash), node))
+                deepest = max(deepest, len(stack))
         elif not key:
             raise _NotPlain  # a lone scalar or anchor
-        key = read(key)
-        if key in node:
-            raise _NotPlain  # libyaml's walk names the repeated key
-        if not value:
-            pending = key, name
+        if key:
+            slot = read(key)
+            if slot in node:
+                raise _NotPlain  # libyaml's walk names the repeated key
+        if not value:  # the value is on the lines below
+            pending = slot, name
             continue
-        node[key] = mapping(value) if value[0] == "{" else read(value)
+        node[slot] = mapping(value) if value[0] == "{" else read(value)
         if name:
-            anchor(name, node[key])
+            anchor(name, node[slot])
     if pending is not None:
         raise _NotPlain
     # upper bounds for the text: a flow mapping and the number lists in it
@@ -704,6 +698,17 @@ def _to_real_matrix(rows) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+@contextmanager
+def _named(where: str):
+    """Re-raise a library error in the block as a ScenarioValidationError named ``where``."""
+    try:
+        yield
+    except ScenarioValidationError:
+        raise
+    except (ValueError, TypeError, ConvexOpError) as exc:
+        raise ScenarioValidationError(f"{where}: {exc}") from exc
+
+
 def _square(rows, n: int, where: str, convert=_to_complex_matrix) -> np.ndarray:
     mat = convert(rows)
     if mat.shape != (n, n):
@@ -764,11 +769,8 @@ def _bind_state(space, kind: str, payload: dict, where: str) -> Element:
         if float(np.linalg.norm(amps)) <= 1e-12:
             raise ScenarioValidationError(f"{where}.pure: amplitude vector is zero")
         return from_matrix(space, pure_state(amps))
-    mat = _square(payload["matrix"], d, f"{where}.matrix")
-    try:
-        return from_matrix(space, mat)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{where}.matrix: {exc}") from exc
+    with _named(f"{where}.matrix"):
+        return from_matrix(space, _square(payload["matrix"], d, f"{where}.matrix"))
 
 
 def _cycles_to_image(cycles, n: int):
@@ -788,15 +790,11 @@ def _cycles_to_image(cycles, n: int):
 def _bind_evolution(space, kind: str, payload: dict):
     if _form(kind, payload, "evolution", "evolution") == "hamiltonian":
         h = _square(payload["hamiltonian"], space.psd_dim, "evolution.hamiltonian")
-        try:
+        with _named("evolution.hamiltonian"):
             return hamiltonian_evolution(h, space)
-        except (ValueError, ConvexOpError) as exc:
-            raise ScenarioValidationError(f"evolution.hamiltonian: {exc}") from exc
     image = _cycles_to_image(payload["permutation"], space.dim)
-    try:
+    with _named("evolution.permutation"):
         return permutation_evolution(space, image)
-    except ConvexOpError as exc:
-        raise ScenarioValidationError(f"evolution.permutation: {exc}") from exc
 
 
 def _bind_measure(space, kind: str, payload: dict, where: str):
@@ -805,16 +803,11 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
     name, source, at = payload["name"], payload[form], f"{where}.{form}"
     if form == "observable":
         obs = _square(source, space.psd_dim, at)
-        try:
-            spec, _ = spectral_measurement(obs, space=space, name=name)
-        except (ValueError, ConvexOpError) as exc:
-            raise ScenarioValidationError(f"{at}: {exc}") from exc
-        return spec
+        with _named(at):
+            return spectral_measurement(obs, space=space, name=name)[0]
     if form == "subset":
-        try:
+        with _named(at):
             return indicator_measurement(space, source, name=name)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{at}: {exc}") from exc
     parent = None
     if form == "coords_matrix":
         n = space.dim
@@ -842,10 +835,8 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
             )
             for label, mats in source.items()
         }
-    try:
+    with _named(where):
         return MeasurementSpec(name=name, outcomes=table, parent=parent)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
 def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
@@ -938,15 +929,15 @@ class CheckResult:
     detail: str
 
 
+def _row(check: str, target: str, passed, what: str, value) -> CheckResult:
+    """The result of one check, its detail the named value at 7 significant digits."""
+    return CheckResult(check, target, passed, f"{what} {value:.6e}")
+
+
 def _cone_check(element: Element, target: str, tol: float) -> CheckResult:
     low = cone_margin(element)
     what = "min eigenvalue" if element.space.cone_kind == "psd" else "min value"
-    return CheckResult(
-        "cone_membership",
-        target,
-        margin_passes(low, element.coords, tol),
-        f"{what} {low:.6e}",
-    )
+    return _row("cone_membership", target, margin_passes(low, element.coords, tol), what, low)
 
 
 def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
@@ -962,14 +953,10 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         checks = [_cone_check(bound.initial, "initial", tol)]
         total = unit_pairing(bound.initial)
-        checks.append(
-            CheckResult(
-                "normalizable",
-                "initial",
-                pairing_passes(total, bound.initial.coords, tol),
-                f"order-unit pairing {total:.6e}",
-            )
-        )
+        checks.append(_row(
+            "normalizable", "initial", pairing_passes(total, bound.initial.coords, tol),
+            "order-unit pairing", total,
+        ))
         specs = list({
             id(step.spec): step.spec
             for step in bound.steps
@@ -980,9 +967,7 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
                 ("completeness", completeness_gap(spec, tol), "max deviation"),
                 ("causality", order_unit_defect(spec.parent, tol), "order-unit defect"),
             ):
-                checks.append(
-                    CheckResult(check, spec.name, defect <= limit, f"{what} {defect:.6e}")
-                )
+                checks.append(_row(check, spec.name, defect <= limit, what, defect))
         # by map, since specs of one payload under other names share their maps;
         # the verdicts are kept, never a d**4 Choi matrix
         verdicts = {}
@@ -992,9 +977,9 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
                 if op not in verdicts:
                     verdicts[op] = choi_cp_check(op, tol)[1:]
                 is_cp, min_eig = verdicts[op]
-                checks.append(CheckResult(
+                checks.append(_row(
                     "complete_positivity", f"{spec.name}:{label}", is_cp,
-                    f"min Choi eigenvalue {min_eig:.6e}",
+                    "min Choi eigenvalue", min_eig,
                 ))
         if bound.post_selection is not None:
             checks.append(_cone_check(bound.post_selection, "post_selection", tol))
@@ -1179,11 +1164,8 @@ def parse_witness_text(text: str) -> tuple:
     root = _load_document(text, _WITNESS)
     out = []
     for key in ("A", "B"):
-        mat = _to_complex_matrix(root[key])
-        try:
-            out.append(require_hermitian(mat))
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{key}: {exc}") from exc
+        with _named(key):
+            out.append(require_hermitian(_to_complex_matrix(root[key])))
     return tuple(out)
 
 

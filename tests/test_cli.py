@@ -195,6 +195,18 @@ def test_witness_verb_size_mismatch(b, message, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("key", ["A", "B"])
+def test_witness_verb_names_a_non_square_matrix(key, tmp_path, capsys):
+    matrices = {"A": "[[1, 0], [0, 1]]", "B": "[[1, 0], [0, 1]]", key: "[[1, 0, 0], [0, 1, 0]]"}
+    bad = tmp_path / "w.yaml"
+    bad.write_text(f"A: {matrices['A']}\nB: {matrices['B']}\n")
+    assert run_main("witness-antilattice", bad) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {key}: expected a square matrix, got shape (2, 3)\n"
+    )
+
+
 def test_console_script_runs_in_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "convexop", "run", str(SCENARIOS / "quantum_zx.yaml")],
