@@ -11,13 +11,11 @@ Point indices are zero-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SpaceMismatchError, UnsupportedSpaceError
 from .operational import EvolutionGroup, MeasurementSpec, OperationMap, _first_bad_point
-from .spaces import Element, ModelSpace, require_same_space
+from .spaces import Element, ModelSpace, _Record, require_same_space
 
 __all__ = [
     "PhaseSpace",
@@ -29,26 +27,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSpace:
+class PhaseSpace(_Record):
     """A finite set of points carrying a strictly positive measure."""
 
-    n: int
-    mu: np.ndarray
+    _fields = ("n", "mu")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, mu: np.ndarray) -> None:
+        if n < 1:
             raise ValueError("phase space needs at least one point")
-        mu = np.array(self.mu, dtype=float)
-        if mu.shape != (self.n,):
+        mu = np.array(mu, dtype=float)
+        if mu.shape != (n,):
             raise SpaceMismatchError(
-                f"measure length {mu.shape} does not match {self.n} points"
+                f"measure length {mu.shape} does not match {n} points"
             )
         if not (mu > 0.0).all():  # also rejects a NaN entry
             raise ValueError("measure entries must be strictly positive")
         if not np.isfinite(mu).all():  # an inf, or a NaN
             raise ValueError("measure entries must be finite")
         mu.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", mu)
 
 

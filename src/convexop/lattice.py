@@ -10,14 +10,12 @@ pairs at qubit scale, with certificates that re-verify independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvexOpError, UnsupportedSpaceError
 from .quantum import from_matrix, to_matrix
 from .spaces import DEFAULT_TOL, Element, cone_margin, is_positive, leq, margin_passes
-from .spaces import require_same_space
+from .spaces import _Record, require_same_space
 
 __all__ = [
     "AntiLatticeWitness",
@@ -29,8 +27,7 @@ __all__ = [
 VERDICTS = ("less", "greater", "equal", "incomparable")
 
 
-@dataclass(frozen=True, eq=False)
-class OrderRelation:
+class OrderRelation(_Record):
     """Outcome of comparing two elements, with the difference certificate.
 
     For ``less`` the witness is ``c - b`` (in the cone), for ``greater`` it
@@ -38,12 +35,13 @@ class OrderRelation:
     ``c - b``; for ``equal`` there is nothing to certify.
     """
 
-    verdict: str
-    witness: Element | None = None
+    _fields = ("verdict", "witness")
 
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+    def __init__(self, verdict: str, witness: Element | None = None) -> None:
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
 
 
 def classify_order(b: Element, c: Element, tol: float = DEFAULT_TOL) -> OrderRelation:
@@ -60,8 +58,7 @@ def classify_order(b: Element, c: Element, tol: float = DEFAULT_TOL) -> OrderRel
     return OrderRelation("incomparable", c - b)
 
 
-@dataclass(frozen=True, eq=False)
-class AntiLatticeWitness:
+class AntiLatticeWitness(_Record):
     """Result of the witness search for a pair of psd matrices.
 
     Either the inputs were comparable (``relation`` says how), or ``c1`` and
@@ -72,12 +69,13 @@ class AntiLatticeWitness:
     greatest lower bound.
     """
 
-    comparable: bool
-    relation: str | None = None
-    c1: np.ndarray | None = None
-    c2: np.ndarray | None = None
-    dominator: np.ndarray | None = None
-    grid_step: float = 0.05
+    _fields = ("comparable", "relation", "c1", "c2", "dominator", "grid_step")
+
+    def __init__(self, comparable: bool, relation: str | None = None, c1: np.ndarray | None = None,
+                 c2: np.ndarray | None = None, dominator: np.ndarray | None = None,
+                 grid_step: float = 0.05) -> None:
+        for name, value in zip(self._fields, (comparable, relation, c1, c2, dominator, grid_step)):
+            object.__setattr__(self, name, value)
 
 
 def _eigmin_grid(p, r, q_re, q_im):

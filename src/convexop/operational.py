@@ -17,7 +17,6 @@ its generator, where it multiplies each matrix entry by a phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -34,6 +33,8 @@ from .spaces import (
     DEFAULT_TOL,
     Element,
     ModelSpace,
+    _Record,
+    _Value,
     inner,
     is_positive,
     pairing_passes,
@@ -71,8 +72,7 @@ SELECTIVITIES = ("selective", "nonselective")
 UNOBSERVED = "unobserved"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class OperationMap:
+class OperationMap(_Record):
     """A linear cone-preserving map on one model space.
 
     ``matrix`` acts on storage coordinates: a ``dim x dim`` array, or a
@@ -84,10 +84,6 @@ class OperationMap:
     certification lives in :func:`is_nonselective`,
     :func:`check_positivity_sampled`, and the model-specific checks.
     """
-
-    space: ModelSpace
-    _entries: np.ndarray
-    selectivity: str = "selective"
 
     def __init__(
         self, space: ModelSpace, matrix, selectivity: str = "selective"
@@ -207,19 +203,16 @@ def _pairing_ratio(
     return inner(b2, selected) / denom
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSpec:
+class MeasurementSpec(_Record):
     """Selective outcome maps under a nonselective parent, by default their sum."""
 
-    name: str
-    outcomes: dict
-    parent: OperationMap | None = None
+    _fields = ("name", "outcomes", "parent")
 
-    def __post_init__(self) -> None:
-        if not self.outcomes:
-            raise ValueError(f"measurement {self.name!r} has no outcomes")
-        space = (self.parent or next(iter(self.outcomes.values()))).space
-        for label, op in self.outcomes.items():
+    def __init__(self, name: str, outcomes: dict, parent: OperationMap | None = None) -> None:
+        if not outcomes:
+            raise ValueError(f"measurement {name!r} has no outcomes")
+        space = (parent or next(iter(outcomes.values()))).space
+        for label, op in outcomes.items():
             if not isinstance(label, str):
                 raise TypeError("outcome labels must be strings")
             if label == UNOBSERVED:
@@ -229,17 +222,18 @@ class MeasurementSpec:
             require_same_space(op.space, space)
             if op.selectivity != "selective":
                 raise ValueError(
-                    f"outcome {label!r} of {self.name!r} must be flagged selective"
+                    f"outcome {label!r} of {name!r} must be flagged selective"
                 )
-        if self.parent is None:
+        if parent is None:
             # a new sum, or the one outcome's read-only entries, which it may share
-            parent = OperationMap._taking(space, _outcome_sum(self.outcomes), "nonselective")
-            object.__setattr__(self, "parent", parent)
-        if self.parent.selectivity != "nonselective":
+            parent = OperationMap._taking(space, _outcome_sum(outcomes), "nonselective")
+        if parent.selectivity != "nonselective":
             raise ValueError(
-                f"parent of measurement {self.name!r} must be flagged nonselective"
+                f"parent of measurement {name!r} must be flagged nonselective"
             )
-        object.__setattr__(self, "outcomes", dict(self.outcomes))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "outcomes", dict(outcomes))
+        object.__setattr__(self, "parent", parent)
 
     @property
     def space(self) -> ModelSpace:
@@ -362,8 +356,7 @@ def _first_bad_point(indices, n: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionGroup:
+class EvolutionGroup(_Record):
     """A one-parameter group of cone automorphisms of one space.
 
     ``kind`` is ``"permutation"`` (discrete; ``permutation[i]`` is the image
@@ -371,52 +364,52 @@ class EvolutionGroup:
     unitary conjugation by ``v diag(exp(-i delta w)) v^dagger``, where the
     eigenpairs ``spectrum = (w, v)`` of the Hermitian generator are computed once).
     A Hamiltonian member acts through :attr:`eigen_frame` and never forms the
-    matrix of the state.
+    matrix of the state.  A permutation group's ``spectrum`` is None.
     """
 
-    space: ModelSpace
-    kind: str
-    permutation: np.ndarray | None = None
-    hamiltonian: np.ndarray | None = None
-    spectrum: tuple | None = field(default=None, init=False, repr=False)
+    _fields = ("space", "kind", "permutation", "hamiltonian")
 
-    def __post_init__(self) -> None:
-        if self.kind == "permutation":
-            if self.permutation is None:
+    def __init__(self, space: ModelSpace, kind: str, permutation: np.ndarray | None = None,
+                 hamiltonian: np.ndarray | None = None) -> None:
+        spectrum = None
+        if kind == "permutation":
+            if permutation is None:
                 raise ValueError("permutation kind requires an image table")
-            perm, n = np.asarray(self.permutation), self.space.dim
-            if self.space.cone_kind != "componentwise":
+            perm, n = np.asarray(permutation), space.dim
+            if space.cone_kind != "componentwise":
                 raise InvalidEvolutionError("permutation evolution needs a componentwise space")
             if perm.shape != (n,) or _first_bad_point(perm, n) is not None:
-                raise InvalidEvolutionError(f"{self.permutation!r} is not a permutation"
+                raise InvalidEvolutionError(f"{permutation!r} is not a permutation"
                                             f" of 0..{n - 1}")
-            perm = perm.astype(int)
+            permutation = perm.astype(int)
             # the pairing with the order unit must survive the shift, which
             # for g = weights * unit means g is constant on every orbit
-            g = self.space._unit_weights
+            g = space._unit_weights
             if not np.isfinite(g).all():  # no finite scale to judge a drift by
                 raise InvalidEvolutionError("the measure times the order unit is not finite")
-            drift = float(np.abs(g[perm] - g).max())
+            drift = float(np.abs(g[permutation] - g).max())
             if not drift <= scaled_tol(1e-12, g):
                 raise InvalidEvolutionError("permutation does not preserve the measure")
-            perm.setflags(write=False)
-            object.__setattr__(self, "permutation", perm)
-        elif self.kind == "hamiltonian":
-            if self.hamiltonian is None:
+            permutation.setflags(write=False)
+        elif kind == "hamiltonian":
+            if hamiltonian is None:
                 raise ValueError("hamiltonian kind requires a generator matrix")
-            h = require_hermitian(self.hamiltonian)
-            if self.space.cone_kind != "psd" or h.shape[0] != self.space.psd_dim:
+            h = require_hermitian(hamiltonian)
+            if space.cone_kind != "psd" or h.shape[0] != space.psd_dim:
                 raise InvalidEvolutionError(
                     "hamiltonian size does not match the psd space"
                 )
-            h = h.copy()
-            spectrum = np.linalg.eigh(h)
-            for array in (h, *spectrum):
+            hamiltonian = h.copy()
+            spectrum = tuple(np.linalg.eigh(hamiltonian))
+            for array in (hamiltonian, *spectrum):
                 array.setflags(write=False)
-            object.__setattr__(self, "hamiltonian", h)
-            object.__setattr__(self, "spectrum", tuple(spectrum))
         else:
-            raise ValueError(f"unknown evolution kind {self.kind!r}")
+            raise ValueError(f"unknown evolution kind {kind!r}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "hamiltonian", hamiltonian)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @cached_property
     def eigen_frame(self) -> tuple:
@@ -572,49 +565,51 @@ def evolution_operation(group: EvolutionGroup, delta: float) -> OperationMap:
 # sequential runs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasureStep:
+class MeasureStep(_Value):
     """One measurement in a sequence; ``outcome None`` means unread."""
 
-    spec: MeasurementSpec
-    outcome: str | None = None
+    _fields = ("spec", "outcome")
 
-    def __post_init__(self) -> None:
-        if self.outcome == UNOBSERVED:
-            object.__setattr__(self, "outcome", None)
+    def __init__(self, spec: MeasurementSpec, outcome: str | None = None) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "outcome", None if outcome == UNOBSERVED else outcome)
 
 
-@dataclass(frozen=True)
-class EvolveStep:
+class EvolveStep(_Value):
     """Free evolution for a time ``delta``, checked here once: an integer for a
     permutation group, and one whose phases ``delta * w`` are finite for a
     Hamiltonian group."""
 
-    group: EvolutionGroup
-    delta: float
+    _fields = ("group", "delta")
 
-    def __post_init__(self) -> None:
-        if self.group.kind == "hamiltonian":
-            _require_finite_phases(self.group, self.delta)
+    def __init__(self, group: EvolutionGroup, delta: float) -> None:
+        if group.kind == "hamiltonian":
+            _require_finite_phases(group, delta)
         # delta * 0 is NaN for inf and NaN, on which round() raises, else 0
-        elif not (self.delta * 0 == 0 and abs(self.delta - round(self.delta)) <= 1e-9):
+        elif not (delta * 0 == 0 and abs(delta - round(delta)) <= 1e-9):
             raise InvalidEvolutionError(
-                f"permutation evolution needs integer steps, got {self.delta!r}"
+                f"permutation evolution needs integer steps, got {delta!r}"
             )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    name: str
-    outcome: str | None
-    conditional_probability: float
+class StepRecord(_Value):
+    _fields = ("name", "outcome", "conditional_probability")
+
+    def __init__(self, name: str, outcome: str | None, conditional_probability: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "conditional_probability", conditional_probability)
 
 
-@dataclass(frozen=True)
-class SequenceResult:
-    probability: float
-    final_state: Element
-    records: tuple
+class SequenceResult(_Value):
+    _fields = ("probability", "final_state", "records")
+
+    def __init__(self, probability: float, final_state: Element, records: tuple) -> None:
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "final_state", final_state)
+        object.__setattr__(self, "records", records)
 
 
 def _coerce_step(step):

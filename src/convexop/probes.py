@@ -14,7 +14,6 @@ product Gram matrix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -30,6 +29,7 @@ from .spaces import (
     DEFAULT_TOL,
     Element,
     ModelSpace,
+    _Record,
     margin_passes,
     pairing_passes,
     product_space,
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeFunctional:
+class ProbeFunctional(_Record):
     """A linear functional on the tensor product of the boundary spaces.
 
     ``proper=True`` asserts nonnegativity on tensor products of cone
@@ -62,18 +61,14 @@ class ProbeFunctional:
     probes) or by sampling (:func:`certify_proper`), never re-derived.
     """
 
-    boundary: tuple
-    coeffs: np.ndarray
-    proper: bool = False
-
-    def __post_init__(self) -> None:
-        boundary = tuple(self.boundary)
+    def __init__(self, boundary: tuple, coeffs: np.ndarray, proper: bool = False) -> None:
+        boundary = tuple(boundary)
         if not boundary:
             raise IncompatibleBoundaryError("a probe needs at least one boundary factor")
         for factor in boundary:
             if not isinstance(factor, ModelSpace):
                 raise TypeError("boundary factors must be ModelSpace values")
-        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)
         expected = int(np.prod([s.dim for s in boundary]))
         if coeffs.shape != (expected,):
             raise SpaceMismatchError(
@@ -83,6 +78,7 @@ class ProbeFunctional:
         coeffs.setflags(write=False)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "proper", proper)
 
     @cached_property
     def _product_weights(self) -> np.ndarray:
@@ -275,7 +271,8 @@ def transparent_probe(
 
     Its value on ``b1 (x) b2`` is the inner product of the two factors.
     """
-    return replace(map_to_probe(identity_operation(space), initial_id, final_id), proper=True)
+    p = map_to_probe(identity_operation(space), initial_id, final_id)
+    return ProbeFunctional(p.boundary, p.coeffs, proper=True)
 
 
 def certify_proper(p: ProbeFunctional) -> ProbeFunctional:
@@ -295,4 +292,4 @@ def certify_proper(p: ProbeFunctional) -> ProbeFunctional:
             raise NotInConeError(
                 f"probe paired negatively ({value:.3e}) with a sampled product state"
             )
-    return replace(p, proper=True)
+    return ProbeFunctional(p.boundary, p.coeffs, proper=True)

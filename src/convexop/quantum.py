@@ -17,7 +17,6 @@ on densities and on amplitude vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,8 @@ from .hermitian import (
     require_hermitian,
 )
 from .operational import EvolutionGroup, MeasurementSpec, OperationMap
-from .spaces import DEFAULT_TOL, Element, ModelSpace, margin_passes, pairing_passes, scaled_tol
+from .spaces import DEFAULT_TOL, Element, ModelSpace, _Record, margin_passes, pairing_passes
+from .spaces import scaled_tol
 
 __all__ = [
     "ChoiReport",
@@ -112,21 +112,20 @@ def to_matrix(x: Element) -> np.ndarray:
     return coords_to_matrix(x.coords)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(_Record):
     """A normalized complex amplitude vector."""
 
-    d: int
-    amplitudes: np.ndarray
+    _fields = ("d", "amplitudes")
 
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.d,):
-            raise ValueError(f"expected {self.d} amplitudes, got shape {amps.shape}")
+    def __init__(self, d: int, amplitudes: np.ndarray) -> None:
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.shape != (d,):
+            raise ValueError(f"expected {d} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails
             raise NotNormalizedError(f"amplitude norm is {norm!r}, expected 1")
         amps.setflags(write=False)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -150,14 +149,13 @@ def pure_state(psi) -> np.ndarray:
 # Kraus operations and complete positivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class KrausSet:
+class KrausSet(_Record):
     """A nonempty family of equally sized complex matrices."""
 
-    operators: tuple
+    _fields = ("operators",)
 
-    def __post_init__(self) -> None:
-        ops = tuple(np.array(k, dtype=complex) for k in self.operators)
+    def __init__(self, operators: tuple) -> None:
+        ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("a Kraus set needs at least one operator")
         d = ops[0].shape[0] if ops[0].ndim == 2 else 0
@@ -250,14 +248,13 @@ def choi_cp_check(op: OperationMap, tol: float = DEFAULT_TOL) -> ChoiReport:
 # spectral measurements, Born rule, and conditioning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ObservableDecomposition:
+class ObservableDecomposition(_Record):
     """Spectral data: ascending eigenvalues with orthogonal projectors."""
 
-    pairs: tuple
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
-        pairs = tuple((float(a), require_hermitian(p)) for a, p in self.pairs)
+    def __init__(self, pairs: tuple) -> None:
+        pairs = tuple((float(a), require_hermitian(p)) for a, p in pairs)
         if not pairs:
             raise ValueError("a decomposition needs at least one spectral pair")
         values = [a for a, _ in pairs]

@@ -42,7 +42,7 @@ import re
 import reprlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, filterfalse
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
@@ -88,6 +88,8 @@ from .quantum import (
 from .spaces import (
     DEFAULT_TOL,
     Element,
+    _Record,
+    _Value,
     cone_margin,
     margin_passes,
     normalize_state,
@@ -587,10 +589,13 @@ def _read_lines(text: str):
     # the stream's and the document's, a line opens at most 2 collections
     # (2 events each) and holds at most a key and a value, a "[" or "{"
     # brings its 2 events and its first 2 entries, and each "," at most a
-    # pair; so the work grows with the commas, not with the digits
+    # pair; so the work grows with the commas, not with the digits.  As each
+    # of those characters brings at most 4 events, 4 * len(text) bounds
+    # them, and they are counted only when that bound passes the limit
     depth = deepest + 5
-    events = (4 + 6 * len(lines) + 4 * (text.count("[") + text.count("{"))
-              + 2 * text.count(","))
+    events = 4 + 6 * len(lines) + 4 * len(text)
+    if depth * events > MAX_NESTING_WORK:
+        events += 4 * (text.count("[") + text.count("{") - len(text)) + 2 * text.count(",")
     if depth > MAX_NESTING or depth * events > MAX_NESTING_WORK:
         from . import _libyaml  # PyYAML's parser walks the text
 
@@ -839,6 +844,11 @@ def _bind_measure(space, kind: str, payload: dict, where: str):
         return MeasurementSpec(name=name, outcomes=table, parent=parent)
 
 
+def replace(spec: MeasurementSpec, name: str) -> MeasurementSpec:
+    """The maps of ``spec`` under another name, checked as a new spec."""
+    return MeasurementSpec(name, spec.outcomes, spec.parent)
+
+
 def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
     """Resolve a document against a concrete space; semantic errors raise."""
     model = doc.model
@@ -898,7 +908,7 @@ def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
                     tables[key] = _bind_measure(space, kind, payload, f"{where}.measure")
                 spec = tables[key]
                 if spec.name != name:
-                    spec = replace(spec, name=name)
+                    spec = replace(spec, name)
                 specs[name, key] = spec
             outcome = payload["outcome"]
             if outcome != UNOBSERVED and outcome not in spec.outcomes:
@@ -921,12 +931,14 @@ def bind_scenario(doc: ScenarioDoc) -> BoundScenario:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    target: str
-    passed: bool
-    detail: str
+class CheckResult(_Value):
+    _fields = ("check", "target", "passed", "detail")
+
+    def __init__(self, check: str, target: str, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _row(check: str, target: str, passed, what: str, value) -> CheckResult:
@@ -990,8 +1002,7 @@ def validate_scenario(source, tol: float = DEFAULT_TOL) -> tuple:
 # execution and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class RunReport:
+class RunReport(_Record):
     """Plain serializable run result; see :func:`render_report`.
 
     ``per_step`` holds one row per step, and the steps that share a
@@ -999,10 +1010,15 @@ class RunReport:
     :func:`render_json` renders once per list: do not mutate the rows.
     """
 
-    probability: float
-    per_step: tuple
-    final_state: dict
-    validation: tuple
+    _fields = ("probability", "per_step", "final_state", "validation")
+
+    def __init__(
+        self, probability: float, per_step: tuple, final_state: dict, validation: tuple
+    ) -> None:
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "per_step", per_step)
+        object.__setattr__(self, "final_state", final_state)
+        object.__setattr__(self, "validation", validation)
 
 
 def _serialize_state(space, element: Element) -> dict:

@@ -19,7 +19,7 @@ deliberately refused rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 import numpy as np
@@ -74,8 +74,46 @@ def pairing_passes(pairing: float, coords: np.ndarray, tol: float) -> bool:
     return scaled_tol(tol, coords) < pairing < np.inf
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ModelSpace:
+class _Record:
+    """Base of the library's records: immutable, equal only to themselves.
+
+    Records are plain classes, not dataclasses, whose methods ``dataclasses``
+    writes and compiles on every import.  A record's ``__init__`` stores its
+    fields with ``object.__setattr__``; assigning or deleting an attribute
+    afterwards raises :class:`dataclasses.FrozenInstanceError`, as on a
+    frozen dataclass.  Instances keep a ``__dict__``, which
+    :func:`functools.cached_property` writes.  ``repr`` shows the fields
+    named in ``_fields``, in the dataclass format.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A record equal to a record of its own class with equal ``_fields``, and
+    hashed by them."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class ModelSpace(_Record):
     """An ordered real vector space with inner product and order unit.
 
     Parameters
@@ -107,13 +145,6 @@ class ModelSpace:
     (:attr:`_unit_weights`) is computed once, on first use, and kept
     read-only.
     """
-
-    space_id: str
-    dim: int
-    weights: np.ndarray
-    cone_kind: str
-    unit: np.ndarray
-    psd_dim: int | None = None
 
     def __init__(
         self,
@@ -210,15 +241,12 @@ class ModelSpace:
         return f"ModelSpace({self.space_id!r}, dim={self.dim}, cone={kind})"
 
 
-@dataclass(frozen=True, eq=False)
-class Element:
+class Element(_Record):
     """A vector in a :class:`ModelSpace`, held as real storage coordinates."""
 
-    space: ModelSpace
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._hold(np.array(self.coords, dtype=float))
+    def __init__(self, space: ModelSpace, coords: np.ndarray) -> None:
+        object.__setattr__(self, "space", space)
+        self._hold(np.array(coords, dtype=float))
 
     @classmethod
     def _taking(cls, space: ModelSpace, coords: np.ndarray) -> "Element":

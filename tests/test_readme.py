@@ -9,6 +9,9 @@ an ``A``/``B`` pair with ``witness-antilattice``; both must exit 0.  The
 exit-code table must list exactly the ``cli.EXIT_*`` codes, and
 ``bench/check.py``'s ``MALFORMED_EXIT`` must give each file under
 ``scenarios/malformed/`` a code of that table, the one ``run`` exits with.
+Each example of exit 2 that the table cites exits 2 through the CLI: the
+scalars ``!!int abc`` and ``2001-13-01``, ``--tol -1`` and ``--tol nan``,
+and ``--grid-step 0.01`` and ``--grid-step 3``.
 """
 
 import os
@@ -94,3 +97,33 @@ def test_a_malformed_file_exits_with_the_bench_code(name):
     assert MALFORMED_EXIT[name] in set(table_codes()) - {cli.EXIT_OK}
     result = convexop("run", f"scenarios/malformed/{name}.yaml")
     assert result.returncode == MALFORMED_EXIT[name]
+
+
+#: the exit-2 row of the table
+UNREADABLE = re.search(r"^\| 2 \| (.*) \|$", README, re.M)[1]
+
+
+@pytest.mark.parametrize("scalar", ["!!int abc", "2001-13-01"])
+def test_a_scalar_the_table_cites_exits_2(scalar, tmp_path):
+    assert f"`{scalar}`" in UNREADABLE
+    path = tmp_path / "scalar.yaml"
+    scenario = (ROOT / "scenarios" / "quantum_zx.yaml").read_text(encoding="utf-8")
+    path.write_text(f"{scenario}seed: {scalar}\n", encoding="utf-8")
+    result = convexop("run", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: unreadable scalar: ")
+
+
+@pytest.mark.parametrize("cited, args", [
+    ("a `--tol` that is negative", ["run", "--tol", "-1", "scenarios/quantum_zx.yaml"]),
+    ("or not finite", ["run", "--tol", "nan", "scenarios/quantum_zx.yaml"]),
+    ("a `--grid-step` outside `[0.02, 2]`",
+     ["witness-antilattice", "--grid-step", "0.01", "scenarios/witness_canonical.yaml"]),
+    ("a `--grid-step` outside `[0.02, 2]`",
+     ["witness-antilattice", "--grid-step", "3", "scenarios/witness_canonical.yaml"]),
+], ids=["tol -1", "tol nan", "grid-step 0.01", "grid-step 3"])
+def test_an_argument_the_table_cites_exits_2(cited, args):
+    assert cited in UNREADABLE
+    result = convexop(*args)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert f"error: argument {args[1]}: " in result.stderr
